@@ -134,7 +134,11 @@ type AggDeltaCollectRequest struct {
 
 // Encode serializes the request.
 func (r AggDeltaCollectRequest) Encode() []byte {
-	b := make([]byte, 0, 22+len(r.AnchorHash))
+	return r.AppendEncode(make([]byte, 0, 22+len(r.AnchorHash)))
+}
+
+// AppendEncode appends the serialized request to b.
+func (r AggDeltaCollectRequest) AppendEncode(b []byte) []byte {
 	b = binary.BigEndian.AppendUint64(b, r.Since)
 	b = binary.BigEndian.AppendUint64(b, r.Nonce)
 	b = binary.BigEndian.AppendUint32(b, uint32(r.K))
@@ -174,12 +178,17 @@ type AggCollectResponse struct {
 
 // Encode serializes the response.
 func (r AggCollectResponse) Encode(alg mac.Algorithm) []byte {
-	b := make([]byte, 0, 4+len(r.ChainState)+len(r.AggMAC)+2+len(r.Records)*RecordSize(alg))
+	size := 4 + len(r.ChainState) + len(r.AggMAC) + recordsSize(alg, r.Records)
+	return r.AppendEncode(make([]byte, 0, size), alg)
+}
+
+// AppendEncode appends the serialized response to b.
+func (r AggCollectResponse) AppendEncode(b []byte, alg mac.Algorithm) []byte {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(r.ChainState)))
 	b = append(b, r.ChainState...)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(r.AggMAC)))
 	b = append(b, r.AggMAC...)
-	return append(b, encodeRecords(alg, r.Records)...)
+	return appendRecords(b, alg, r.Records)
 }
 
 // DecodeAggCollectResponse parses a response.
@@ -250,14 +259,18 @@ func (p *Prover) HandleCollectDeltaAggregate(since, nonce uint64, k int, anchorH
 	state := marshalChain(p.chain)
 	var aggMAC []byte
 	attErr := p.dev.Attest(func(key []byte) {
-		aggMAC = mac.Sum(p.cfg.Alg, key, AggMACInput(since, nonce, anchorHash, state))
+		p.aggMAC.Reset()
+		p.aggMAC.Write(AggMACInput(since, nonce, anchorHash, state))
+		aggMAC = p.aggMAC.Sum(nil)
 	})
 	p.dev.CPU().Occupy(cpu.KindCollection, timing.Total())
 	if attErr != nil {
 		p.emit(EventCollection, p.lastT, "aggregate collection failed: "+attErr.Error())
 		return nil, nil, nil, timing, attErr
 	}
-	p.emit(EventCollection, p.lastT, fmt.Sprintf("%d records since t=%d (aggregate)", len(recs), since))
+	if p.cfg.OnEvent != nil {
+		p.emit(EventCollection, p.lastT, fmt.Sprintf("%d records since t=%d (aggregate)", len(recs), since))
+	}
 	return recs, state, aggMAC, timing, nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"erasmus/internal/crypto/mac"
@@ -57,7 +58,8 @@ func (b *Buffer) SlotForTime(t uint64, tm sim.Ticks) int {
 // Put stores the record in the given slot.
 func (b *Buffer) Put(slot int, r Record) {
 	b.check(slot)
-	copy(b.backing[slot*b.recSize:], r.Encode(b.alg))
+	off := slot * b.recSize
+	r.AppendEncode(b.backing[off:off:off+b.recSize], b.alg)
 }
 
 // Get reads the record in the given slot. The result is unauthenticated.
@@ -81,26 +83,14 @@ func (b *Buffer) Erase(slot int) {
 // (all-zero) slots are skipped, so a freshly booted prover returns fewer
 // than k records rather than garbage.
 func (b *Buffer) Latest(i, k int) []Record {
-	b.check(i)
 	if k > b.n {
 		k = b.n
 	}
 	if k < 0 {
 		k = 0
 	}
-	out := make([]Record, 0, k)
-	for j := 0; j < k; j++ {
-		slot := ((i-j)%b.n + b.n) % b.n
-		r, err := b.Get(slot)
-		if err != nil {
-			continue
-		}
-		if r.IsZero() {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
+	recs, _ := b.read(i, k, k, 0)
+	return recs
 }
 
 // LatestSince returns the records measured at or after since, reading
@@ -113,28 +103,54 @@ func (b *Buffer) Latest(i, k int) []Record {
 // The second return value is the number of slots visited, for cost
 // accounting.
 func (b *Buffer) LatestSince(i, k int, since uint64) ([]Record, int) {
-	b.check(i)
 	if k <= 0 || k > b.n {
 		k = b.n
 	}
-	out := make([]Record, 0, k)
-	visited := 0
-	for j := 0; j < b.n && len(out) < k; j++ {
+	return b.read(i, b.n, k, since)
+}
+
+// read copies out the written records found walking backward from slot i
+// over at most maxSlots slots, stopping after maxRecs records or at the
+// first one older than since. It sizes the result with one counting walk
+// and then copies the slots into a single slab the records view, so a
+// collection costs two allocations however many records it ships.
+func (b *Buffer) read(i, maxSlots, maxRecs int, since uint64) ([]Record, int) {
+	b.check(i)
+	found, visited := b.walk(i, maxSlots, maxRecs, since, nil)
+	slab := make([]byte, 0, found*b.recSize)
+	b.walk(i, maxSlots, maxRecs, since, func(enc []byte) { slab = append(slab, enc...) })
+	return viewRecords(b.alg, slab, found), visited
+}
+
+// walk visits slots backward from i, passing each qualifying record's
+// encoded bytes to each (when non-nil), and reports how many records
+// qualified and how many slots were visited.
+func (b *Buffer) walk(i, maxSlots, maxRecs int, since uint64, each func(enc []byte)) (found, visited int) {
+	for j := 0; j < maxSlots && found < maxRecs; j++ {
 		slot := ((i-j)%b.n + b.n) % b.n
 		visited++
-		r, err := b.Get(slot)
-		if err != nil {
-			continue
+		enc := b.backing[slot*b.recSize : (slot+1)*b.recSize]
+		if allZero(enc) {
+			continue // never written
 		}
-		if r.IsZero() {
-			continue
-		}
-		if r.T < since {
+		if binary.BigEndian.Uint64(enc) < since {
 			break
 		}
-		out = append(out, r)
+		found++
+		if each != nil {
+			each(enc)
+		}
 	}
-	return out, visited
+	return found, visited
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func (b *Buffer) check(slot int) {

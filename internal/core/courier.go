@@ -33,12 +33,11 @@ type Bundle struct {
 // Encode serializes the bundle:
 // idLen u16 | id | collectedAt u64 | records.
 func (b Bundle) Encode(alg mac.Algorithm) []byte {
-	id := []byte(b.DeviceID)
-	out := make([]byte, 2+len(id)+8)
-	binary.BigEndian.PutUint16(out, uint16(len(id)))
-	copy(out[2:], id)
-	binary.BigEndian.PutUint64(out[2+len(id):], b.CollectedAt)
-	return append(out, encodeRecords(alg, b.Records)...)
+	out := make([]byte, 0, 2+len(b.DeviceID)+8+recordsSize(alg, b.Records))
+	out = binary.BigEndian.AppendUint16(out, uint16(len(b.DeviceID)))
+	out = append(out, b.DeviceID...)
+	out = binary.BigEndian.AppendUint64(out, b.CollectedAt)
+	return appendRecords(out, alg, b.Records)
 }
 
 // DecodeBundle parses a bundle.

@@ -100,3 +100,69 @@ func FuzzDecodeODResponse(f *testing.F) {
 		}
 	})
 }
+
+func FuzzDecodeDeltaCollectRequest(f *testing.F) {
+	f.Add(DeltaCollectRequest{Since: 1 << 40, K: 8}.Encode())
+	f.Add(DeltaCollectRequest{Since: 0, K: -1}.Encode())
+	f.Add(make([]byte, 11))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeDeltaCollectRequest(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(r.Encode(), data) {
+			t.Fatal("delta request decode/encode not idempotent")
+		}
+	})
+}
+
+func FuzzDecodeAggDeltaCollectRequest(f *testing.F) {
+	f.Add(AggDeltaCollectRequest{Since: 7, Nonce: 9, K: 0, AnchorHash: bytes.Repeat([]byte{0xA5}, 32)}.Encode())
+	f.Add(AggDeltaCollectRequest{K: 8}.Encode())
+	f.Add(append(make([]byte, 20), 0xFF, 0xFF)) // anchor length far past the end
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeAggDeltaCollectRequest(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(r.Encode(), data) {
+			t.Fatal("aggregate request decode/encode not idempotent")
+		}
+		// The anchor must not alias the datagram it was parsed from.
+		if len(r.AnchorHash) > 0 {
+			data[22] ^= 0xFF
+			if r.AnchorHash[0] == data[22] {
+				t.Fatal("decoded anchor hash aliases the input")
+			}
+		}
+	})
+}
+
+func FuzzDecodeAggCollectResponse(f *testing.F) {
+	resp := AggCollectResponse{
+		ChainState: bytes.Repeat([]byte{3}, 108),
+		AggMAC:     bytes.Repeat([]byte{4}, 32),
+		Records: []Record{
+			ComputeRecord(mac.KeyedBLAKE2s, testKey, 2, []byte("b")),
+			ComputeRecord(mac.KeyedBLAKE2s, testKey, 1, []byte("a")),
+		},
+	}
+	f.Add(resp.Encode(mac.KeyedBLAKE2s))
+	f.Add([]byte{0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0xFF, 0xFF, 1})
+	f.Add([]byte{0, 1, 9, 0xFF, 0xFF})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, alg := range mac.Algorithms() {
+			r, err := DecodeAggCollectResponse(alg, data)
+			if err != nil {
+				continue
+			}
+			if !bytes.Equal(r.Encode(alg), data) {
+				t.Fatalf("%v: aggregate response decode/encode not idempotent", alg)
+			}
+		}
+	})
+}

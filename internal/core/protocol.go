@@ -29,9 +29,12 @@ type CollectRequest struct {
 
 // Encode serializes the request.
 func (r CollectRequest) Encode() []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(r.K))
-	return b[:]
+	return r.AppendEncode(make([]byte, 0, 4))
+}
+
+// AppendEncode appends the serialized request to dst.
+func (r CollectRequest) AppendEncode(dst []byte) []byte {
+	return binary.BigEndian.AppendUint32(dst, uint32(r.K))
 }
 
 // DecodeCollectRequest parses a request.
@@ -61,10 +64,13 @@ type DeltaCollectRequest struct {
 
 // Encode serializes the request.
 func (r DeltaCollectRequest) Encode() []byte {
-	var b [12]byte
-	binary.BigEndian.PutUint64(b[:8], r.Since)
-	binary.BigEndian.PutUint32(b[8:], uint32(r.K))
-	return b[:]
+	return r.AppendEncode(make([]byte, 0, 12))
+}
+
+// AppendEncode appends the serialized request to dst.
+func (r DeltaCollectRequest) AppendEncode(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, r.Since)
+	return binary.BigEndian.AppendUint32(dst, uint32(r.K))
 }
 
 // DecodeDeltaCollectRequest parses a request.
@@ -78,14 +84,18 @@ func DecodeDeltaCollectRequest(b []byte) (DeltaCollectRequest, error) {
 	}, nil
 }
 
-// encodeRecords serializes a newest-first record list.
-func encodeRecords(alg mac.Algorithm, recs []Record) []byte {
-	out := make([]byte, 2, 2+len(recs)*RecordSize(alg))
-	binary.BigEndian.PutUint16(out, uint16(len(recs)))
+// recordsSize is the encoded size of a record list.
+func recordsSize(alg mac.Algorithm, recs []Record) int {
+	return 2 + len(recs)*RecordSize(alg)
+}
+
+// appendRecords appends a newest-first record list to dst.
+func appendRecords(dst []byte, alg mac.Algorithm, recs []Record) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(recs)))
 	for _, r := range recs {
-		out = append(out, r.Encode(alg)...)
+		dst = r.AppendEncode(dst, alg)
 	}
-	return out
+	return dst
 }
 
 // decodeRecords parses a record list.
@@ -104,10 +114,22 @@ func decodeRecords(alg mac.Algorithm, b []byte) ([]Record, []byte, error) {
 	// does). Decoded histories flow straight into the batch verify hot
 	// path, and consumers that outlive the response copy what they keep
 	// (NewWatermark copies its slices), so the shared backing is safe.
-	recs := make([]Record, 0, n)
+	//
+	// This copy is also the one place a response leaves the buffer it
+	// arrived in: the UDP transport decodes out of a per-socket receive
+	// buffer it reuses for the next datagram, while the fleet pipeline
+	// verifies asynchronously — a Record aliasing b would be silently
+	// rewritten under the verifier.
 	slab := make([]byte, n*rs)
 	copy(slab, b[:n*rs])
-	hs := alg.HashSize()
+	return viewRecords(alg, slab, n), b[n*rs:], nil
+}
+
+// viewRecords returns the n records encoded back to back in slab as views
+// into it (no copy): the caller hands over a slab nothing else writes.
+func viewRecords(alg mac.Algorithm, slab []byte, n int) []Record {
+	rs, hs := RecordSize(alg), alg.HashSize()
+	recs := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
 		enc := slab[i*rs : (i+1)*rs]
 		recs = append(recs, Record{
@@ -116,7 +138,7 @@ func decodeRecords(alg mac.Algorithm, b []byte) ([]Record, []byte, error) {
 			MAC:  enc[8+hs:],
 		})
 	}
-	return recs, b[n*rs:], nil
+	return recs
 }
 
 // CollectResponse carries the collected history, newest first.
@@ -126,7 +148,12 @@ type CollectResponse struct {
 
 // Encode serializes the response.
 func (r CollectResponse) Encode(alg mac.Algorithm) []byte {
-	return encodeRecords(alg, r.Records)
+	return r.AppendEncode(make([]byte, 0, recordsSize(alg, r.Records)), alg)
+}
+
+// AppendEncode appends the serialized response to dst.
+func (r CollectResponse) AppendEncode(dst []byte, alg mac.Algorithm) []byte {
+	return appendRecords(dst, alg, r.Records)
 }
 
 // DecodeCollectResponse parses a response.
@@ -201,8 +228,8 @@ type ODResponse struct {
 
 // Encode serializes the response: M0 then the history list.
 func (r ODResponse) Encode(alg mac.Algorithm) []byte {
-	out := r.M0.Encode(alg)
-	return append(out, encodeRecords(alg, r.Records)...)
+	out := make([]byte, 0, RecordSize(alg)+recordsSize(alg, r.Records))
+	return appendRecords(r.M0.AppendEncode(out, alg), alg, r.Records)
 }
 
 // DecodeODResponse parses a response.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -132,5 +133,44 @@ func TestPropertyResponseRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Decoded responses must own their bytes. The UDP transport decodes out of
+// a per-socket receive buffer that the next datagram overwrites, while the
+// fleet pipeline verifies asynchronously: a Record (or chain head, or
+// aggregate MAC) still aliasing the source would be silently rewritten
+// under the verifier.
+func TestDecodedResponsesDoNotAliasSource(t *testing.T) {
+	alg := mac.KeyedBLAKE2s
+	recs := []Record{
+		ComputeRecord(alg, testKey, 20, []byte("newer")),
+		ComputeRecord(alg, testKey, 10, []byte("older")),
+	}
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] ^= 0xFF
+		}
+	}
+
+	src := CollectResponse{Records: recs}.Encode(alg)
+	plain, err := DecodeCollectResponse(alg, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(src)
+	if !reflect.DeepEqual(plain.Records, recs) {
+		t.Fatal("records of a collect response alias the buffer they were decoded from")
+	}
+
+	want := AggCollectResponse{ChainState: []byte("chain-head-state"), AggMAC: []byte("aggregate-mac"), Records: recs}
+	src = want.Encode(alg)
+	agg, err := DecodeAggCollectResponse(alg, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(src)
+	if !reflect.DeepEqual(agg, want) {
+		t.Fatal("an aggregate response aliases the buffer it was decoded from")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 
 	"erasmus/internal/costmodel"
 	"erasmus/internal/crypto/mac"
@@ -92,6 +93,11 @@ type Prover struct {
 	// detects. Rolling-buffer overwrites do not rewind it: the chain
 	// commits to history, the buffer merely caches the recent window.
 	chain chainDigest
+	// aggMAC is the keyed MAC behind every aggregate answer: one instance
+	// per prover, keyed once and only ever used inside the protected
+	// context — the counterpart of Verifier.aggMACPool — instead of
+	// keying a fresh MAC per answer.
+	aggMAC hash.Hash
 
 	pendingEv *sim.Event
 	running   bool
@@ -127,7 +133,11 @@ func NewProver(dev Device, cfg ProverConfig) (*Prover, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prover{dev: dev, cfg: cfg, buf: buf, lastSlot: -1, chain: newChain()}, nil
+	p := &Prover{dev: dev, cfg: cfg, buf: buf, lastSlot: -1, chain: newChain()}
+	if err := dev.Attest(func(key []byte) { p.aggMAC = mac.New(cfg.Alg, key) }); err != nil {
+		return nil, fmt.Errorf("core: keying the aggregate MAC: %w", err)
+	}
+	return p, nil
 }
 
 // Buffer exposes the rolling store (tamper experiments reach records
@@ -306,7 +316,9 @@ func (p *Prover) HandleCollect(k int) ([]Record, CollectTiming) {
 		return nil, timing
 	}
 	recs := p.buf.Latest(p.lastSlot, k)
-	p.emit(EventCollection, p.lastT, fmt.Sprintf("%d records", len(recs)))
+	if p.cfg.OnEvent != nil {
+		p.emit(EventCollection, p.lastT, fmt.Sprintf("%d records", len(recs)))
+	}
 	return recs, timing
 }
 
@@ -336,7 +348,9 @@ func (p *Prover) HandleCollectDelta(since uint64, k int) ([]Record, CollectTimin
 		SendPacket:      costmodel.SendPacketTime(p.dev.Arch()),
 	}
 	p.dev.CPU().Occupy(cpu.KindCollection, timing.Total())
-	p.emit(EventCollection, p.lastT, fmt.Sprintf("%d records since t=%d", len(recs), since))
+	if p.cfg.OnEvent != nil {
+		p.emit(EventCollection, p.lastT, fmt.Sprintf("%d records since t=%d", len(recs), since))
+	}
 	return recs, timing
 }
 

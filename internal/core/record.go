@@ -71,14 +71,19 @@ func RecordSize(alg mac.Algorithm) int {
 // It panics if the hash or MAC lengths do not match the algorithm (records
 // built by ComputeRecord always match).
 func (r Record) Encode(alg mac.Algorithm) []byte {
+	return r.AppendEncode(make([]byte, 0, RecordSize(alg)), alg)
+}
+
+// AppendEncode appends the record's wire/storage form to dst and returns
+// the extended slice — Encode into a buffer the caller owns. Same panic
+// as Encode.
+func (r Record) AppendEncode(dst []byte, alg mac.Algorithm) []byte {
 	if len(r.Hash) != alg.HashSize() || len(r.MAC) != alg.Size() {
 		panic(fmt.Sprintf("core: record field sizes %d/%d do not match %v", len(r.Hash), len(r.MAC), alg))
 	}
-	out := make([]byte, RecordSize(alg))
-	binary.BigEndian.PutUint64(out, r.T)
-	copy(out[8:], r.Hash)
-	copy(out[8+len(r.Hash):], r.MAC)
-	return out
+	dst = binary.BigEndian.AppendUint64(dst, r.T)
+	dst = append(dst, r.Hash...)
+	return append(dst, r.MAC...)
 }
 
 // DecodeRecord parses a fixed-size encoded record. It performs no
@@ -99,18 +104,5 @@ func DecodeRecord(alg mac.Algorithm, b []byte) (Record, error) {
 // IsZero reports whether the record is all-zero, i.e. read from a buffer
 // slot that was never written.
 func (r Record) IsZero() bool {
-	if r.T != 0 {
-		return false
-	}
-	for _, b := range r.Hash {
-		if b != 0 {
-			return false
-		}
-	}
-	for _, b := range r.MAC {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
+	return r.T == 0 && allZero(r.Hash) && allZero(r.MAC)
 }

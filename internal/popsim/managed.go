@@ -364,6 +364,30 @@ type ManagedRun struct {
 	aggRounds    int
 	aggFallbacks int
 	vt           *obs.Gauge // virtual time of the engine, ns
+
+	// "udp" with a registry only: the collector's transport counters,
+	// mirrored into gauges whenever the engine is pumped.
+	udpStats  func() udptransport.Stats
+	udpGauges [7]*obs.Gauge
+}
+
+// udpCounterNames label the erasmus_udp_client series, in the order
+// publish fills them.
+var udpCounterNames = [7]string{"sent", "received", "retransmits", "timeouts", "stale", "malformed", "socket_errors"}
+
+// publish refreshes the gauges that mirror state owned elsewhere: the
+// engine's virtual time and, over UDP, what the transport did to the
+// collections (retries, timeouts and dropped datagrams are invisible in
+// the alert stream until they add up to an unreachable device).
+func (r *ManagedRun) publish() {
+	r.vt.Set(int64(r.engine.Now()))
+	if r.udpStats == nil {
+		return
+	}
+	st := r.udpStats()
+	for i, v := range [7]uint64{st.Sent, st.Received, st.Retransmits, st.Timeouts, st.Stale, st.Malformed, st.SocketErrors} {
+		r.udpGauges[i].Set(int64(v))
+	}
 }
 
 // StartManaged builds a managed scenario and starts its collection
@@ -441,7 +465,7 @@ func (r *ManagedRun) RunToHorizon() {
 	} else if r.engine.Now() < r.cfg.Duration {
 		r.engine.RunUntil(r.cfg.Duration)
 	}
-	r.vt.Set(int64(r.engine.Now()))
+	r.publish()
 }
 
 // Pump advances the engine against the wall clock until the absolute
@@ -450,7 +474,7 @@ func (r *ManagedRun) RunToHorizon() {
 // read the manager between steps. Returns when the engine reaches until.
 func (r *ManagedRun) Pump(until sim.Ticks, step time.Duration) {
 	fleet.PumpRealTime(r.engine, until, step)
-	r.vt.Set(int64(r.engine.Now()))
+	r.publish()
 }
 
 // Finish stops collection, drains in-flight verdicts, folds the end state
@@ -468,6 +492,7 @@ func (r *ManagedRun) Finish() (*ManagedResult, error) {
 		r.engine.RunUntil(r.engine.Now() + 2*sim.Second + 2*r.cfg.Latency)
 	}
 	r.mgr.Flush()
+	r.publish()
 	r.res.RunWall = time.Since(r.runStart)
 	r.res.finish(r.mgr, r.devices)
 	r.res.DeltaRounds = r.deltaRounds
@@ -590,6 +615,14 @@ func (r *ManagedRun) startUDP(plans []devicePlan) error {
 	col, err := fleet.NewUDPCollector(srv.Addr().String(), cfg.UDPPool)
 	if err != nil {
 		return err
+	}
+	if cfg.Obs != nil {
+		r.udpStats = col.Stats
+		for i, name := range udpCounterNames {
+			r.udpGauges[i] = cfg.Obs.Gauge("erasmus_udp_client",
+				"Collector-side UDP transport counters (datagrams, retransmissions, timeouts, drops).",
+				obs.Label{Name: "counter", Value: name})
+		}
 	}
 	mgrEngine := sim.NewEngine()
 	r.engine = mgrEngine

@@ -5,6 +5,7 @@ import (
 
 	"erasmus/internal/core"
 	"erasmus/internal/fleet"
+	"erasmus/internal/obs"
 	"erasmus/internal/sim"
 )
 
@@ -48,7 +49,9 @@ func TestManagedPopulationSim(t *testing.T) {
 // collections demux over one socket, verdicts flow through the async
 // pipeline, and no clock-drift false tampers appear.
 func TestManagedPopulationUDP(t *testing.T) {
+	reg := obs.NewRegistry()
 	res, err := RunManaged(ManagedConfig{
+		Obs:              reg,
 		Population:       8,
 		Transport:        "udp",
 		Seed:             5,
@@ -76,6 +79,15 @@ func TestManagedPopulationUDP(t *testing.T) {
 	}
 	if n := res.AlertCounts[fleet.AlertUnreachable]; n != 0 {
 		t.Errorf("%d unreachable alerts on loopback", n)
+	}
+	// The transport's counters are exported: collections were sent and
+	// answered, and loopback lost none of them.
+	udp := func(counter string) int64 {
+		return reg.Gauge("erasmus_udp_client", "", obs.Label{Name: "counter", Value: counter}).Value()
+	}
+	if udp("sent") == 0 || udp("received") != udp("sent") || udp("timeouts")+udp("malformed") != 0 {
+		t.Errorf("erasmus_udp_client: sent %d, received %d, timeouts %d, malformed %d",
+			udp("sent"), udp("received"), udp("timeouts"), udp("malformed"))
 	}
 }
 

@@ -453,7 +453,11 @@ func TestCollectDeltaAggregateOverRealUDP(t *testing.T) {
 	srv, _ := startServer(t)
 	c := dialServer(t, srv)
 
-	time.Sleep(250 * time.Millisecond)
+	// Measurements commit at 10, 40, …, 220 ms: collecting at 235 ms finds
+	// exactly the 8 records the request asks for, with 15 ms to spare on
+	// either side (at 250 ms the ninth is being committed, and whether the
+	// shipped chain covers only the shipped records is a coin toss).
+	time.Sleep(235 * time.Millisecond)
 	recs, state, aggMAC, err := c.CollectDeltaAggregate(0, 41, nil, 8)
 	if err != nil {
 		t.Fatal(err)
