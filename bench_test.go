@@ -21,7 +21,6 @@ import (
 	"erasmus/internal/crypto/mac"
 	"erasmus/internal/hw/imx6"
 	"erasmus/internal/hw/rtl"
-	"erasmus/internal/obs"
 	"erasmus/internal/popsim"
 	"erasmus/internal/qoa"
 	"erasmus/internal/sim"
@@ -493,57 +492,6 @@ func BenchmarkAblationStagger(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchVerify measures verifier-side throughput: a fixed corpus
-// of collected histories (device-unique keys, a sprinkling of infected and
-// tampered records) validated through the BatchVerifier at 1, 4 and 8
-// workers. Histories from distinct devices share no state, so the speedup
-// over workers=1 tracks available cores; the histories/s metric is the
-// verifier-scaling series BENCH_*.json trends.
-func BenchmarkBatchVerify(b *testing.B) {
-	const devices, k = 256, 8
-	alg := mac.KeyedBLAKE2s
-	jobs := make([]core.VerifyJob, 0, devices)
-	for d := 0; d < devices; d++ {
-		key := []byte(fmt.Sprintf("batch-bench-device-%04d-key", d))
-		golden := make([]byte, 256)
-		golden[0] = byte(d)
-		vrf, err := core.NewVerifier(core.VerifierConfig{
-			Alg: alg, Key: key,
-			GoldenHashes: [][]byte{mac.HashSum(alg, golden)},
-			MinGap:       sim.Minute - sim.Second,
-			MaxGap:       sim.Minute + sim.Minute/2,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := uint64(1_000_000_000_000) + uint64(d)*uint64(sim.Hour)
-		recs := make([]core.Record, 0, k)
-		for j := 0; j < k; j++ {
-			mem := golden
-			if d%7 == 0 && j == 2 {
-				mem = append([]byte("infected"), golden[8:]...)
-			}
-			rec := core.ComputeRecord(alg, key, base-uint64(j)*uint64(sim.Minute), mem)
-			if d%11 == 0 && j == 5 {
-				rec.MAC[0] ^= 0x5a
-			}
-			recs = append(recs, rec)
-		}
-		jobs = append(jobs, core.VerifyJob{Verifier: vrf, Records: recs, Now: base + 1, ExpectedK: k})
-	}
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			bv := core.NewBatchVerifier(workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bv.Verify(jobs)
-			}
-			b.ReportMetric(float64(devices)*float64(b.N)/b.Elapsed().Seconds(), "histories/s")
-			b.ReportMetric(float64(devices*k)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
-	}
-}
-
 // BenchmarkPopulationSim measures the sharded fleet runtime end to end:
 // simulated device-seconds advanced per wall-clock second for 1k and 10k
 // prover populations with churn, a lossy network and an infection wave.
@@ -574,328 +522,9 @@ func BenchmarkPopulationSim(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetPipeline measures the fleet-managed collection path end to
-// end — staggered scheduling over the simulated network, the bounded
-// asynchronous queue, batch-verified verdicts re-joined to device state —
-// against the inline-verification baseline, for growing populations. The
-// +delta modes run the same scenario with incremental (since-watermark)
-// collection; the alert count must not move (delta changes cost, never
-// outcomes). Inline verification is where delta rounds deterministically
-// happen in virtual time (async verdicts lag an instantly-advancing
-// clock), so inline vs inline+delta is the like-for-like comparison.
-func BenchmarkFleetPipeline(b *testing.B) {
-	for _, pop := range []int{200, 1000} {
-		for _, mode := range []struct {
-			name  string
-			sync  bool
-			delta bool
-		}{
-			{"inline", true, false},
-			{"pipeline", false, false},
-			{"inline+delta", true, true},
-			{"pipeline+delta", false, true},
-		} {
-			b.Run(fmt.Sprintf("n=%d/%s", pop, mode.name), func(b *testing.B) {
-				var res *popsim.ManagedResult
-				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = popsim.RunManaged(popsim.ManagedConfig{
-						Population:       pop,
-						Seed:             1,
-						QoA:              core.QoA{TM: sim.Minute, TC: 4 * sim.Minute},
-						Duration:         12 * sim.Minute,
-						IMX6Fraction:     0.25,
-						Loss:             0.01,
-						LateJoinFraction: 0.1,
-						Wave:             popsim.WaveConfig{Coverage: 0.2, Start: 3 * sim.Minute, Spread: 2 * sim.Minute},
-						Synchronous:      mode.sync,
-						Delta:            mode.delta,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(res.Devices)*res.Config.Duration.Seconds()/res.RunWall.Seconds(), "device-s/s")
-				b.ReportMetric(float64(len(res.Alerts)), "alerts")
-			})
-		}
-	}
-}
-
-// BenchmarkFleetPipelineObserved measures what full instrumentation costs
-// on the managed pipeline: the BenchmarkFleetPipeline n=1000 scenario with
-// and without a metrics registry, collection tracer and event log
-// attached. The off/on pair is the EXPERIMENTS.md overhead number (ISSUE 6
-// target: ≤3% throughput cost); the alert count must not move between
-// modes (instrumentation is a read-only tap — enforced exactly by
-// TestObservabilityEquivalence, sampled here).
-func BenchmarkFleetPipelineObserved(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		obs  bool
-	}{
-		{"off", false},
-		{"on", true},
-	} {
-		b.Run(fmt.Sprintf("n=1000/obs=%s", mode.name), func(b *testing.B) {
-			var res *popsim.ManagedResult
-			for i := 0; i < b.N; i++ {
-				cfg := popsim.ManagedConfig{
-					Population:       1000,
-					Seed:             1,
-					QoA:              core.QoA{TM: sim.Minute, TC: 4 * sim.Minute},
-					Duration:         12 * sim.Minute,
-					IMX6Fraction:     0.25,
-					Loss:             0.01,
-					LateJoinFraction: 0.1,
-					Wave:             popsim.WaveConfig{Coverage: 0.2, Start: 3 * sim.Minute, Spread: 2 * sim.Minute},
-					Synchronous:      true,
-					Delta:            true,
-				}
-				if mode.obs {
-					cfg.Obs = obs.NewRegistry()
-					cfg.Tracer = obs.NewTracer(4096)
-					cfg.Events = obs.NewEventLog(1024)
-				}
-				var err error
-				res, err = popsim.RunManaged(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Devices)*res.Config.Duration.Seconds()/res.RunWall.Seconds(), "device-s/s")
-			b.ReportMetric(float64(len(res.Alerts)), "alerts")
-		})
-	}
-}
-
-// BenchmarkIncrementalVerify quantifies the stateful verifier service's
-// core claim: when consecutive collections overlap — k exceeds the new
-// records per round, whether for loss-redundancy or because a collection
-// was late — the stateless path re-MAC-verifies the whole k-record window
-// while VerifyDelta pays one O(1) anchor equality check plus the new
-// records only, and the aggregate tier pays exactly one MAC plus a
-// hash-only chain walk regardless of record count. MACs/op is the number
-// of MAC computations each iteration performs; wall time per op should
-// track it. overlap=0% is the like-for-like three-way comparison: all
-// three modes validate the same k new records.
-func BenchmarkIncrementalVerify(b *testing.B) {
-	algo := mac.KeyedBLAKE2s
-	key := []byte("incr-bench-device-key")
-	golden := make([]byte, 256)
-	vrf, err := core.NewVerifier(core.VerifierConfig{
-		Alg: algo, Key: key,
-		GoldenHashes: [][]byte{mac.HashSum(algo, golden)},
-		MinGap:       sim.Minute - sim.Second,
-		MaxGap:       sim.Minute + sim.Minute/2,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, k := range []int{8, 16, 32, 128, 512} {
-		base := uint64(1_000_000_000_000)
-		endT := base + uint64(k+1)*uint64(sim.Minute)
-		// k+1 records so overlap=0% still has an anchor record below the
-		// k new ones.
-		recs := make([]core.Record, 0, k+1)
-		for j := 0; j < k+1; j++ {
-			recs = append(recs, core.ComputeRecord(algo, key, endT-uint64(j)*uint64(sim.Minute), golden))
-		}
-		full := recs[:k]
-		now := endT + uint64(sim.Second)
-		for _, ov := range []int{0, 50, 90} {
-			// overlap% of the window is already verified: the watermark
-			// sits at record index newCount, the newest of the old ones.
-			newCount := k - k*ov/100
-			wm := core.NewWatermark(recs[newCount])
-			deltaRecs := recs[:newCount+1] // new records + anchor
-			rep, _ := vrf.VerifyDelta(deltaRecs, now, 0, wm)
-			if !rep.Healthy() || rep.OverlapTrusted != 1 {
-				b.Fatalf("delta setup unhealthy: %+v", rep)
-			}
-			// Aggregate evidence: the chain state a watermark would hold at
-			// the anchor, the head the prover would ship, and the single
-			// MAC binding the head to the challenge.
-			anchorState, err := core.ChainOf(nil, recs[newCount:])
-			if err != nil {
-				b.Fatal(err)
-			}
-			head, err := core.ChainOf(anchorState, recs[:newCount])
-			if err != nil {
-				b.Fatal(err)
-			}
-			awm := wm
-			awm.Chain = anchorState
-			agg := core.AggregateEvidence{
-				Since: awm.T, Nonce: 7, AnchorHash: awm.Hash, State: head,
-				MAC: mac.Sum(algo, key, core.AggMACInput(awm.T, 7, awm.Hash, head)),
-			}
-			arep, _ := vrf.VerifyDeltaAggregate(deltaRecs, now, 0, awm, agg)
-			if !arep.Healthy() || !arep.AggregateApplied {
-				b.Fatalf("aggregate setup fell back: %+v", arep)
-			}
-			b.Run(fmt.Sprintf("k=%d/overlap=%d%%/full", k, ov), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					vrf.VerifyHistory(full, now, 0)
-				}
-				b.ReportMetric(float64(k), "MACs/op")
-			})
-			b.Run(fmt.Sprintf("k=%d/overlap=%d%%/delta", k, ov), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					vrf.VerifyDelta(deltaRecs, now, 0, wm)
-				}
-				b.ReportMetric(float64(newCount), "MACs/op")
-			})
-			b.Run(fmt.Sprintf("k=%d/overlap=%d%%/aggregate", k, ov), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					vrf.VerifyDeltaAggregate(deltaRecs, now, 0, awm, agg)
-				}
-				b.ReportMetric(1, "MACs/op")
-				b.ReportMetric(float64(newCount), "records/op")
-			})
-		}
-	}
-}
-
 func archShort(a costmodel.Arch) string {
 	if a == costmodel.MSP430 {
 		return "SMART+"
 	}
 	return "HYDRA"
-}
-
-// ---- durable verifier state (internal/store) ------------------------------
-
-// benchWatermark builds a realistic ~72 B watermark for device i.
-func benchWatermark(i int) erasmus.Watermark {
-	h := make([]byte, 32)
-	m := make([]byte, 32)
-	for j := range h {
-		h[j] = byte(i >> (j % 24))
-		m[j] = byte((i * 31) >> (j % 24))
-	}
-	return erasmus.Watermark{T: uint64(1_000_000_000 + i), Hash: h, MAC: m}
-}
-
-// benchFillStore journals one watermark and one status record per device
-// — a steady-state fleet round.
-func benchFillStore(b *testing.B, st *erasmus.StateStore, devices int) {
-	b.Helper()
-	for i := 0; i < devices; i++ {
-		addr := fmt.Sprintf("dev-%06d", i)
-		if err := st.SetWatermark(addr, benchWatermark(i)); err != nil {
-			b.Fatal(err)
-		}
-		err := st.PutStatus(erasmus.StoredDeviceState{
-			Addr: addr, HasStatus: true, Healthy: true, HasAnchor: true,
-			RegisteredAt: 0, ScheduleAnchor: int64(i) * 1000, LastContact: int64(i),
-			Collections: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWALAppend measures the journal's append path: batched (the
-// fleet's mode — buffered appends, one fsync per round via Sync) against
-// a paranoid fsync-per-record configuration. The gap is the cost of
-// durability granularity, and why the manager syncs per round, not per
-// verdict.
-func BenchmarkWALAppend(b *testing.B) {
-	for _, mode := range []string{"batched", "sync-per-record"} {
-		b.Run(mode, func(b *testing.B) {
-			st, err := erasmus.OpenStateStore(b.TempDir(), erasmus.StateStoreOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			wm := benchWatermark(7)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := st.SetWatermark("dev-000007", wm); err != nil {
-					b.Fatal(err)
-				}
-				if mode == "sync-per-record" {
-					if err := st.Sync(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			if mode == "batched" {
-				if err := st.Sync(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.SetBytes(st.Stats().WALBytes / int64(b.N))
-		})
-	}
-}
-
-// BenchmarkSnapshotWrite measures compaction: encode the full device
-// image, write it atomically, truncate the covered WAL segments.
-func BenchmarkSnapshotWrite(b *testing.B) {
-	for _, devices := range []int{10_000, 100_000} {
-		b.Run(fmt.Sprintf("devices=%d", devices), func(b *testing.B) {
-			st, err := erasmus.OpenStateStore(b.TempDir(), erasmus.StateStoreOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			benchFillStore(b, st, devices)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := st.Snapshot(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(st.Stats().SnapshotBytes)/float64(devices), "B/device")
-		})
-	}
-}
-
-// BenchmarkRecovery measures a verifier restart: open the directory, load
-// the snapshot, replay the post-snapshot WAL suffix (10% of the fleet
-// re-journaled after compaction, the steady state between snapshots).
-func BenchmarkRecovery(b *testing.B) {
-	for _, devices := range []int{10_000, 100_000} {
-		b.Run(fmt.Sprintf("devices=%d", devices), func(b *testing.B) {
-			dir := b.TempDir()
-			st, err := erasmus.OpenStateStore(dir, erasmus.StateStoreOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchFillStore(b, st, devices)
-			if err := st.Snapshot(); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < devices/10; i++ {
-				if err := st.SetWatermark(fmt.Sprintf("dev-%06d", i), benchWatermark(i+devices)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := st.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err := erasmus.OpenStateStore(dir, erasmus.StateStoreOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n := r.Stats().Devices; n != devices {
-					b.Fatalf("recovered %d devices, want %d", n, devices)
-				}
-				if err := r.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -6,8 +6,11 @@
 //
 //	erasmus-bench             # all experiments
 //	erasmus-bench -exp table1 # one experiment: table1, fig6, synth, fig8,
-//	                          # table2, fig1, lenient, swarm, irregular,
-//	                          # tamper
+//	                          # table2, fig1, detection, lenient, swarm,
+//	                          # irregular, tamper
+//
+// The repository's performance benchmark is the bench/ module (see
+// BENCHMARK.json), not this command.
 package main
 
 import (
@@ -27,14 +30,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, table1, fig6, synth, fig8, table2, fig1, lenient, swarm, irregular, tamper); with -json, a substring filter over benchmark names")
-	jsonOut := flag.Bool("json", false, "run the implementation benchmark suite and emit machine-readable records (see json.go)")
+	exp := flag.String("exp", "all", "experiment to run (all, table1, fig6, synth, fig8, table2, fig1, detection, lenient, swarm, irregular, tamper)")
 	flag.Parse()
-
-	if *jsonOut {
-		runJSON(*exp)
-		return
-	}
 
 	experiments := map[string]func(){
 		"table1":    table1,

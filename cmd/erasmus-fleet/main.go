@@ -36,15 +36,32 @@
 // -recover inspects such a directory and reports what a restarted
 // verifier would resume with.
 //
-// The udp transport is wall-paced (one virtual nanosecond per wall
-// nanosecond), so it defaults to a milliseconds-scale QoA and a ~2 s
-// horizon unless -tm/-tc/-duration are given explicitly.
+// With -serve addr a managed run becomes a live verifier: the engine is
+// paced against the wall clock whatever the transport, and the full
+// internal/serve HTTP surface (/metrics, /livez, /readyz, /healthz,
+// /statusz, /schedz, /tracez, /eventz, the resumable /watch/alerts and
+// /watch/events streams, pprof) is served while it runs. The process
+// prints the run report at -duration or on SIGINT/SIGTERM; -duration 0
+// serves until signalled.
+//
+//	erasmus-fleet -transport sim -serve 127.0.0.1:9464 -duration 0
+//	erasmus-fleet -transport udp -serve 127.0.0.1:9464 -aggregate -adaptive -state-dir /tmp/erasmus-state
+//
+// A wall-paced run (the udp transport, or any transport with -serve)
+// advances one virtual nanosecond per wall nanosecond, so it defaults to
+// a milliseconds-scale QoA and a ~2 s horizon unless -tm/-tc/-duration
+// are given explicitly.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"erasmus/internal/core"
@@ -52,148 +69,164 @@ import (
 	"erasmus/internal/fleet"
 	"erasmus/internal/obs"
 	"erasmus/internal/popsim"
+	"erasmus/internal/serve"
 	"erasmus/internal/sim"
 	"erasmus/internal/store"
 )
 
-func main() {
+// runSpec is one resolved invocation: the command line with every
+// default applied. Exactly one of recoverDir, managed and sharded
+// describes what to do.
+type runSpec struct {
+	// recoverDir (-recover) is a state directory to inspect.
+	recoverDir string
+	// managed (-transport) is the fleet-managed run; nil selects sharded.
+	managed *popsim.ManagedConfig
+	// serve (-serve) is the HTTP address a managed run is served on; the
+	// run is then wall-paced and managed.Duration 0 means until signalled.
+	serve   string
+	sharded popsim.Config
+}
+
+// managedOnly names the flags the sharded runtime has no use for.
+var managedOnly = map[string]bool{
+	"adaptive": true, "aggregate": true, "delta": true, "latency": true,
+	"pool": true, "serve": true, "state-dir": true, "sync-verify": true,
+}
+
+// parseArgs resolves the command line into a runSpec. Every error it
+// returns is a usage error.
+func parseArgs(args []string) (*runSpec, error) {
+	fs := flag.NewFlagSet("erasmus-fleet", flag.ContinueOnError)
 	var (
-		population  = flag.Int("population", 100_000, "number of prover devices")
-		shards      = flag.Int("shards", 0, "engine shards (0 = GOMAXPROCS)")
-		seed        = flag.Int64("seed", 1, "scenario seed")
-		algName     = flag.String("alg", "blake2s", "MAC algorithm: sha1, sha256, blake2s")
-		tm          = flag.Duration("tm", 10*time.Minute, "measurement period TM")
-		tc          = flag.Duration("tc", 40*time.Minute, "collection period TC")
-		duration    = flag.Duration("duration", 4*time.Hour, "simulated horizon")
-		step        = flag.Duration("step", 0, "barrier epoch (0 = TC)")
-		imx6Frac    = flag.Float64("imx6", 0.25, "fraction of i.MX6-class devices (rest MSP430)")
-		loss        = flag.Float64("loss", 0.01, "collection loss probability")
-		join        = flag.Float64("join", 0.10, "fraction of devices joining mid-run")
-		retire      = flag.Float64("retire", 0.05, "fraction of devices retiring mid-run")
-		waveCov     = flag.Float64("wave-coverage", 0.30, "fraction of devices hit by the infection wave (0 disables)")
-		waveStart   = flag.Duration("wave-start", time.Hour, "when the wave begins")
-		waveSpread  = flag.Duration("wave-spread", 30*time.Minute, "window over which infections land")
-		waveDwell   = flag.Duration("wave-dwell", 0, "malware dwell time (0 = persistent)")
-		workers     = flag.Int("workers", 0, "batch-verification workers (0 = GOMAXPROCS)")
-		transport   = flag.String("transport", "", "run the fleet-managed pipeline over this transport: udp|sim (empty = sharded popsim runtime)")
-		latency     = flag.Duration("latency", 10*time.Millisecond, "one-way network latency (sim transport)")
-		pool        = flag.Int("pool", 8, "UDP collector socket-pool size (udp transport)")
-		syncVerify  = flag.Bool("sync-verify", false, "verify inline instead of through the async pipeline (managed transports; forced on for -transport sim with -delta)")
-		delta       = flag.Bool("delta", true, "incremental collection: per-device watermarks, \"since t_last\" requests, O(new)-record verification (managed transports)")
-		aggregate   = flag.Bool("aggregate", false, "aggregate-anchor collection on top of -delta: one chain-head MAC per round instead of per-record MACs, per-record fallback on any mismatch (managed transports)")
-		stateDir    = flag.String("state-dir", "", "journal verifier state (watermarks, device status, alerts) to a WAL+snapshot store in this directory (managed transports)")
-		recover     = flag.Bool("recover", false, "inspect the -state-dir store: report what a restarted verifier would resume with, then exit")
-		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics on this address while a managed run executes (e.g. 127.0.0.1:9464; erasmus-serve offers the full surface)")
+		population = fs.Int("population", 100_000, "number of prover devices")
+		shards     = fs.Int("shards", 0, "engine shards (0 = GOMAXPROCS)")
+		seed       = fs.Int64("seed", 1, "scenario seed")
+		algName    = fs.String("alg", "blake2s", "MAC algorithm: sha1, sha256, blake2s")
+		tm         = fs.Duration("tm", 10*time.Minute, "measurement period TM")
+		tc         = fs.Duration("tc", 40*time.Minute, "collection period TC")
+		duration   = fs.Duration("duration", 4*time.Hour, "simulated horizon (0 with -serve = until SIGINT/SIGTERM)")
+		step       = fs.Duration("step", 0, "barrier epoch (0 = TC)")
+		imx6Frac   = fs.Float64("imx6", 0.25, "fraction of i.MX6-class devices (rest MSP430)")
+		loss       = fs.Float64("loss", 0.01, "collection loss probability")
+		join       = fs.Float64("join", 0.10, "fraction of devices joining mid-run")
+		retire     = fs.Float64("retire", 0.05, "fraction of devices retiring mid-run")
+		waveCov    = fs.Float64("wave-coverage", 0.30, "fraction of devices hit by the infection wave (0 disables)")
+		waveStart  = fs.Duration("wave-start", time.Hour, "when the wave begins")
+		waveSpread = fs.Duration("wave-spread", 30*time.Minute, "window over which infections land")
+		waveDwell  = fs.Duration("wave-dwell", 0, "malware dwell time (0 = persistent)")
+		workers    = fs.Int("workers", 0, "batch-verification workers (0 = GOMAXPROCS)")
+		transport  = fs.String("transport", "", "run the fleet-managed pipeline over this transport: udp|sim (empty = sharded popsim runtime)")
+		latency    = fs.Duration("latency", 10*time.Millisecond, "one-way network latency (sim transport)")
+		pool       = fs.Int("pool", 8, "UDP collector socket-pool size (udp transport)")
+		syncVerify = fs.Bool("sync-verify", false, "verify inline instead of through the async pipeline (managed transports; forced on for -transport sim with -delta)")
+		delta      = fs.Bool("delta", true, "incremental collection: per-device watermarks, \"since t_last\" requests, O(new)-record verification (managed transports)")
+		aggregate  = fs.Bool("aggregate", false, "aggregate-anchor collection on top of -delta: one chain-head MAC per round instead of per-record MACs, per-record fallback on any mismatch (managed transports)")
+		adaptive   = fs.Bool("adaptive", false, "adaptive per-device TC scheduling, clamped to [TC/2, 2·TC] (managed transports; see /schedz)")
+		stateDir   = fs.String("state-dir", "", "journal verifier state (watermarks, device status, alerts) to a WAL+snapshot store in this directory (managed transports)")
+		recover    = fs.Bool("recover", false, "inspect the -state-dir store: report what a restarted verifier would resume with, then exit")
+		serveAddr  = fs.String("serve", "", "serve the verifier's HTTP surface (metrics, health, status, traces, watch streams, pprof) on this address and pace the run against the wall clock (managed transports; e.g. 127.0.0.1:9464)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
 
 	alg, err := mac.ParseAlgorithm(*algName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "erasmus-fleet:", err)
-		os.Exit(2)
+		return nil, err
 	}
-
 	if *recover {
 		if *stateDir == "" {
-			fmt.Fprintln(os.Stderr, "erasmus-fleet: -recover requires -state-dir")
-			os.Exit(2)
+			return nil, errors.New("-recover requires -state-dir")
 		}
-		if err := reportRecovery(*stateDir); err != nil {
-			fmt.Fprintln(os.Stderr, "erasmus-fleet:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *stateDir != "" && *transport == "" {
-		fmt.Fprintln(os.Stderr, "erasmus-fleet: -state-dir requires a managed transport (-transport sim|udp)")
-		os.Exit(2)
+		return &runSpec{recoverDir: *stateDir}, nil
 	}
 
+	set := map[string]bool{}
+	stray := ""
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if stray == "" && managedOnly[f.Name] {
+			stray = f.Name
+		}
+	})
+	if *transport == "" && stray != "" {
+		return nil, fmt.Errorf("-%s requires a managed transport (-transport sim|udp)", stray)
+	}
+	switch {
+	case *duration < 0:
+		return nil, fmt.Errorf("negative -duration %v", *duration)
+	case *duration == 0 && *serveAddr == "":
+		return nil, errors.New("-duration 0 (run until signalled) requires -serve")
+	}
+
+	switch {
+	case *transport == "udp" || *serveAddr != "":
+		// Wall-paced run: compress the default QoA to milliseconds so
+		// the scenario completes in ~2 s unless overridden.
+		if !set["tm"] {
+			*tm = 100 * time.Millisecond
+		}
+		if !set["tc"] {
+			*tc = 400 * time.Millisecond
+		}
+		if !set["duration"] {
+			*duration = 2 * time.Second
+		}
+		if !set["wave-start"] {
+			*waveStart = 500 * time.Millisecond
+		}
+		if !set["wave-spread"] {
+			*waveSpread = 400 * time.Millisecond
+		}
+		if !set["loss"] {
+			*loss = 0
+		}
+		if !set["population"] {
+			*population = 32
+		}
+		if !set["imx6"] {
+			*imx6Frac = 1 // µs-scale measurements keep ms-scale TM feasible
+		}
+	case *transport != "" && !set["population"]:
+		*population = 1000
+	}
+
+	qoa := core.QoA{TM: sim.Ticks(*tm), TC: sim.Ticks(*tc)}
+	wave := popsim.WaveConfig{
+		Coverage: *waveCov,
+		Start:    sim.Ticks(*waveStart),
+		Spread:   sim.Ticks(*waveSpread),
+		Dwell:    sim.Ticks(*waveDwell),
+	}
 	if *transport != "" {
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if *transport == "udp" {
-			// Wall-paced run: compress the default QoA to milliseconds so
-			// the scenario completes in ~2 s unless overridden.
-			if !set["tm"] {
-				*tm = 100 * time.Millisecond
-			}
-			if !set["tc"] {
-				*tc = 400 * time.Millisecond
-			}
-			if !set["duration"] {
-				*duration = 2 * time.Second
-			}
-			if !set["wave-start"] {
-				*waveStart = 500 * time.Millisecond
-			}
-			if !set["wave-spread"] {
-				*waveSpread = 400 * time.Millisecond
-			}
-			if !set["loss"] {
-				*loss = 0
-			}
-			if !set["population"] {
-				*population = 32
-			}
-			if !set["imx6"] {
-				*imx6Frac = 1 // µs-scale measurements keep ms-scale TM feasible
-			}
-		} else if !set["population"] {
-			*population = 1000
-		}
-		var reg *obs.Registry
-		if *metricsAddr != "" {
-			reg = obs.NewRegistry()
-			bound, stop, err := obs.ServeMetrics(*metricsAddr, reg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "erasmus-fleet:", err)
-				os.Exit(1)
-			}
-			defer stop()
-			fmt.Printf("erasmus-fleet: serving /metrics on http://%s\n", bound)
-		}
-		// (The old "-transport sim needs -sync-verify for -delta" footgun
-		// is gone: popsim.RunManaged forces synchronous verification on
-		// virtual-time engines itself, so delta always engages.)
-		mres, err := popsim.RunManaged(popsim.ManagedConfig{
+		return &runSpec{serve: *serveAddr, managed: &popsim.ManagedConfig{
 			Population:       *population,
 			Transport:        *transport,
 			Seed:             *seed,
 			Alg:              alg,
-			QoA:              core.QoA{TM: sim.Ticks(*tm), TC: sim.Ticks(*tc)},
+			QoA:              qoa,
 			Duration:         sim.Ticks(*duration),
 			IMX6Fraction:     *imx6Frac,
 			Loss:             *loss,
 			Latency:          sim.Ticks(*latency),
 			LateJoinFraction: *join,
-			Wave: popsim.WaveConfig{
-				Coverage: *waveCov,
-				Start:    sim.Ticks(*waveStart),
-				Spread:   sim.Ticks(*waveSpread),
-				Dwell:    sim.Ticks(*waveDwell),
-			},
-			VerifyWorkers: *workers,
-			Synchronous:   *syncVerify,
-			Delta:         *delta,
-			Aggregate:     *aggregate,
-			UDPPool:       *pool,
-			StateDir:      *stateDir,
-			Obs:           reg,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "erasmus-fleet:", err)
-			os.Exit(1)
-		}
-		reportManaged(mres)
-		return
+			Wave:             wave,
+			VerifyWorkers:    *workers,
+			Synchronous:      *syncVerify,
+			AdaptiveSchedule: *adaptive,
+			Delta:            *delta,
+			Aggregate:        *aggregate,
+			UDPPool:          *pool,
+			StateDir:         *stateDir,
+		}}, nil
 	}
-	cfg := popsim.Config{
+	return &runSpec{sharded: popsim.Config{
 		Population:   *population,
 		Shards:       *shards,
 		Seed:         *seed,
 		Alg:          alg,
-		QoA:          core.QoA{TM: sim.Ticks(*tm), TC: sim.Ticks(*tc)},
+		QoA:          qoa,
 		Duration:     sim.Ticks(*duration),
 		Step:         sim.Ticks(*step),
 		IMX6Fraction: *imx6Frac,
@@ -202,21 +235,118 @@ func main() {
 			LateJoinFraction: *join,
 			RetireFraction:   *retire,
 		},
-		Wave: popsim.WaveConfig{
-			Coverage: *waveCov,
-			Start:    sim.Ticks(*waveStart),
-			Spread:   sim.Ticks(*waveSpread),
-			Dwell:    sim.Ticks(*waveDwell),
-		},
+		Wave:          wave,
 		VerifyWorkers: *workers,
-	}
+	}}, nil
+}
 
-	res, err := popsim.Run(cfg)
+func main() {
+	spec, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "erasmus-fleet:", err)
+		os.Exit(2)
+	}
+	switch {
+	case spec.recoverDir != "":
+		err = reportRecovery(spec.recoverDir)
+	case spec.serve != "":
+		err = serveManaged(*spec.managed, spec.serve)
+	case spec.managed != nil:
+		var res *popsim.ManagedResult
+		if res, err = popsim.RunManaged(*spec.managed); err == nil {
+			reportManaged(res, res.Config.Duration)
+		}
+	default:
+		var res *popsim.Result
+		if res, err = popsim.Run(spec.sharded); err == nil {
+			report(res)
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "erasmus-fleet:", err)
 		os.Exit(1)
 	}
-	report(res)
+}
+
+// Ring sizes of the served /tracez and /eventz feeds.
+const (
+	traceSpans = 4096
+	eventCap   = 1024
+)
+
+// serveManaged runs cfg as a live verifier: the internal/serve mux on
+// addr, the engine paced against the wall clock until cfg.Duration (0 =
+// until SIGINT/SIGTERM), then the same report a batch run prints.
+func serveManaged(cfg popsim.ManagedConfig, addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+
+	// The horizon is a pump target, not a scenario parameter: with
+	// -duration 0 the scenario keeps popsim's 6×TC default shape but the
+	// fleet is pumped until a signal arrives.
+	horizon := cfg.Duration
+	cfg.Obs = obs.NewRegistry()
+	cfg.Tracer = obs.NewTracer(traceSpans)
+	cfg.Events = obs.NewEventLog(eventCap)
+	run, err := popsim.StartManaged(cfg)
+	if err != nil {
+		ln.Close()
+		return err
+	}
+	srv := &http.Server{Handler: serve.NewMux(serve.Config{
+		Manager:  run.Manager(),
+		Registry: cfg.Obs,
+		Tracer:   cfg.Tracer,
+		Events:   cfg.Events,
+		Status:   func() any { return &cfg },
+	})}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	until := "until SIGINT/SIGTERM"
+	if horizon > 0 {
+		until = fmt.Sprintf("for %v", horizon)
+	}
+	fmt.Printf("erasmus-fleet: serving http://%s (metrics, livez, readyz, healthz, statusz, schedz, tracez, eventz, watch/alerts, watch/events, pprof) %s\n",
+		ln.Addr(), until)
+
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
+	// Pump the engine in short wall chunks from this goroutine (engines are
+	// single-threaded); between chunks, check for a shutdown signal. HTTP
+	// handlers never touch the engine — they read the manager, registry and
+	// rings, all safe concurrently.
+	const chunk = sim.Ticks(250 * time.Millisecond)
+	now := run.Engine().Now()
+pump:
+	for horizon == 0 || now < horizon {
+		select {
+		case s := <-sig:
+			fmt.Printf("\nerasmus-fleet: %v — finishing run\n", s)
+			break pump
+		default:
+		}
+		next := now + chunk
+		if horizon > 0 && next > horizon {
+			next = horizon
+		}
+		run.Pump(next)
+		now = run.Engine().Now()
+	}
+
+	res, err := run.Finish()
+	if err != nil {
+		return err
+	}
+	reportManaged(res, now)
+	return nil
 }
 
 func report(res *popsim.Result) {
@@ -270,13 +400,15 @@ func report(res *popsim.Result) {
 		res.VerifyWall.Round(time.Millisecond), res.DeviceSecondsPerSecond())
 }
 
-func reportManaged(res *popsim.ManagedResult) {
+// reportManaged prints a managed run's report; horizon is the virtual
+// time the engine was driven to.
+func reportManaged(res *popsim.ManagedResult, horizon sim.Ticks) {
 	cfg := res.Config
 	fmt.Printf("erasmus-fleet: fleet-managed attestation over the %s transport\n", cfg.Transport)
 	fmt.Printf("  population %d (%d late joiners), seed %d, %s\n",
 		res.Devices, res.LateJoiners, cfg.Seed, cfg.Alg)
 	fmt.Printf("  QoA TM=%v TC=%v (k=%d), horizon %v\n",
-		cfg.QoA.TM, cfg.QoA.TC, cfg.QoA.RecordsPerCollection(), cfg.Duration)
+		cfg.QoA.TM, cfg.QoA.TC, cfg.QoA.RecordsPerCollection(), horizon)
 	if cfg.Transport == "sim" {
 		fmt.Printf("  network: latency %v, loss %.1f%%\n", cfg.Latency, 100*cfg.Loss)
 	} else {

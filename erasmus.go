@@ -12,28 +12,30 @@
 // prover — and validates the device's state *history*, catching mobile
 // malware that on-demand attestation misses.
 //
-// This package is the stable public surface over the internal packages:
+// This package is the facade the runnable scenarios in examples/ are
+// written against, and it exports exactly the names they use:
 //
 //   - device models: NewMSP430 (SMART+ low-end MCU) and NewIMX6 (HYDRA on
 //     seL4, medium-end) with calibrated cost models;
-//   - the prover runtime (NewProver) with regular, irregular (§3.5) and
-//     lenient-window (§5) schedules;
-//   - the verifier (NewVerifier) with history validation and
-//     Quality-of-Attestation accounting;
-//   - experiment harnesses for the paper's security arguments (the qoa
-//     aliases) and swarm attestation (the swarm aliases).
+//   - the prover runtime (NewProver) with regular, staggered and
+//     spot-verifiable irregular (§3.5) schedules, and the verifier
+//     (NewVerifier);
+//   - the fleet operations layer (NewFleetManagerWith) over the simulated
+//     network or real UDP sockets, with durable state (OpenStateStore) and
+//     observability (NewMetricsRegistry, NewCollectionTracer, NewEventLog);
+//   - experiment harnesses: QoA scenarios (RunScenario, RunAvailability),
+//     swarm attestation (NewSwarm) and population-scale runs
+//     (RunPopulation, StartManagedPopulation).
 //
-// See the examples/ directory for runnable end-to-end scenarios and
-// EXPERIMENTS.md for the reproduction of every table and figure.
+// Everything else — the batch verifier, the attestation service, the HTTP
+// serving surface, the lint suite — lives in the internal packages and is
+// reached through the cmd/ binaries. EXPERIMENTS.md reproduces every table
+// and figure of the paper.
 package erasmus
 
 import (
-	"net/http"
-
-	"erasmus/internal/analysis"
 	"erasmus/internal/core"
 	"erasmus/internal/costmodel"
-	"erasmus/internal/crypto/drbg"
 	"erasmus/internal/crypto/mac"
 	"erasmus/internal/fleet"
 	"erasmus/internal/hw/imx6"
@@ -42,7 +44,6 @@ import (
 	"erasmus/internal/obs"
 	"erasmus/internal/popsim"
 	"erasmus/internal/qoa"
-	"erasmus/internal/serve"
 	"erasmus/internal/session"
 	"erasmus/internal/sim"
 	"erasmus/internal/store"
@@ -60,8 +61,6 @@ type (
 
 // Re-exported time units.
 const (
-	Nanosecond  = sim.Nanosecond
-	Microsecond = sim.Microsecond
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
 	Minute      = sim.Minute
@@ -71,164 +70,56 @@ const (
 // NewEngine creates a simulation engine at virtual time zero.
 func NewEngine() *Engine { return sim.NewEngine() }
 
-// MAC algorithms evaluated in the paper.
-type Algorithm = mac.Algorithm
-
-// The three MAC choices of Table 1 / Figures 6 and 8.
+// MAC algorithms (Table 1 / Figures 6 and 8).
 const (
-	HMACSHA1     = mac.HMACSHA1
 	HMACSHA256   = mac.HMACSHA256
 	KeyedBLAKE2s = mac.KeyedBLAKE2s
 )
 
-// Algorithms lists all supported MAC algorithms.
-func Algorithms() []Algorithm { return mac.Algorithms() }
+// MSP430 is the low-end platform: OpenMSP430 @ 8 MHz under SMART+.
+const MSP430 = costmodel.MSP430
 
-// ParseAlgorithm resolves an algorithm name (e.g. "blake2s").
-func ParseAlgorithm(name string) (Algorithm, error) { return mac.ParseAlgorithm(name) }
-
-// Target platforms with calibrated cost models.
-type Arch = costmodel.Arch
-
-// The paper's two implementation platforms.
-const (
-	MSP430 = costmodel.MSP430 // OpenMSP430 @ 8 MHz under SMART+
-	IMX6   = costmodel.IMX6   // i.MX6 Sabre Lite @ 1 GHz under HYDRA
-)
+// DefaultEpoch is the RROC value at simulation time zero for both device
+// models (the paper's Fig. 3 timestamp), in nanoseconds; verifier clocks
+// built as DefaultEpoch + engine.Now() stay synchronized with devices.
+const DefaultEpoch = mcu.DefaultEpoch
 
 // Core attestation types.
 type (
-	// Record is one self-measurement M_t.
-	Record = core.Record
-	// Buffer is the prover's rolling measurement store.
-	Buffer = core.Buffer
-	// Device abstracts the security architecture a prover runs on.
-	Device = core.Device
 	// Prover is the ERASMUS runtime on one device.
 	Prover = core.Prover
 	// ProverConfig parameterizes a prover.
 	ProverConfig = core.ProverConfig
-	// Verifier validates collected histories.
-	Verifier = core.Verifier
 	// VerifierConfig parameterizes a verifier.
 	VerifierConfig = core.VerifierConfig
-	// Report is a verification outcome.
-	Report = core.Report
 	// QoA captures the §3.1 Quality-of-Attestation parameters.
 	QoA = core.QoA
-	// Schedule drives self-measurement timing.
-	Schedule = core.Schedule
-	// CollectTiming itemizes prover-side collection cost (Table 2).
-	CollectTiming = core.CollectTiming
+	// MSP430Config configures a low-end SMART+ device.
+	MSP430Config = mcu.Config
+	// IMX6Config configures a HYDRA board.
+	IMX6Config = imx6.Config
 )
-
-// MSP430Config configures a low-end SMART+ device.
-type MSP430Config = mcu.Config
 
 // NewMSP430 builds an MSP430-class prover device (SMART+).
 func NewMSP430(cfg MSP430Config) (*mcu.Device, error) { return mcu.New(cfg) }
-
-// IMX6Config configures a HYDRA board.
-type IMX6Config = imx6.Config
 
 // NewIMX6 builds an i.MX6-class prover device (HYDRA on seL4).
 func NewIMX6(cfg IMX6Config) (*imx6.Device, error) { return imx6.New(cfg) }
 
 // NewProver builds the ERASMUS runtime over any device model.
-func NewProver(dev Device, cfg ProverConfig) (*Prover, error) { return core.NewProver(dev, cfg) }
+func NewProver(dev core.Device, cfg ProverConfig) (*Prover, error) { return core.NewProver(dev, cfg) }
 
 // NewVerifier builds a verifier.
-func NewVerifier(cfg VerifierConfig) (*Verifier, error) { return core.NewVerifier(cfg) }
-
-// Batched verification: validating many collected histories concurrently.
-type (
-	// BatchVerifier fans history validation out over a worker pool;
-	// results are verdict-for-verdict identical to sequential
-	// VerifyHistory calls.
-	BatchVerifier = core.BatchVerifier
-	// VerifyJob is one history (with its device's verifier) in a batch.
-	VerifyJob = core.VerifyJob
-)
-
-// NewBatchVerifier builds a batch verifier with the given worker count
-// (≤ 0 selects GOMAXPROCS).
-func NewBatchVerifier(workers int) *BatchVerifier { return core.NewBatchVerifier(workers) }
-
-// Incremental attestation: the stateful verifier service. Instead of
-// re-shipping and re-MAC-verifying the full k-record history every
-// collection, the verifier keeps one small Watermark per device and
-// collects "everything since t_last" — bounding its work by the
-// measurement rate rather than by collections × history size.
-type (
-	// Watermark is the per-device verifier state: the newest verified
-	// record's timestamp, hash and MAC (≈150 B per device with overhead).
-	Watermark = core.Watermark
-	// AttestationService is the sharded, memory-bounded per-device
-	// watermark store backing fleet-scale incremental verification.
-	AttestationService = core.AttestationService
-	// AttestationServiceConfig sizes the store (shards, device capacity).
-	AttestationServiceConfig = core.ServiceConfig
-	// DeltaCollectRequest is the "records since t_last" wire frame.
-	DeltaCollectRequest = core.DeltaCollectRequest
-)
-
-// NewAttestationService builds the watermark store.
-func NewAttestationService(cfg AttestationServiceConfig) *AttestationService {
-	return core.NewAttestationService(cfg)
-}
-
-// NextWatermark derives the watermark to store after applying a report
-// produced against prev (pure; see core.NextWatermark for the rules).
-func NextWatermark(prev Watermark, rep Report) Watermark { return core.NextWatermark(prev, rep) }
-
-// Durable verifier state: an append-only, segmented, checksummed
-// write-ahead log of watermark updates, device status and alert events,
-// compacted into snapshots (~150 B per device), with crash-consistent
-// recovery — snapshot load plus WAL replay, tolerant of a torn tail. A
-// StateStore plugs into the AttestationService (as StateSink/StateSource)
-// and into FleetManagerConfig.Store, so a verifier process can die and a
-// successor resumes delta collection with zero re-alerts and zero forced
-// full re-verification rounds.
-type (
-	// StateStore is the WAL + snapshot store backing a durable verifier.
-	StateStore = store.Store
-	// StateStoreOptions tunes segment rotation and snapshot cadence.
-	StateStoreOptions = store.Options
-	// StoredDeviceState is one device's durable record: watermark half
-	// plus fleet-status half.
-	StoredDeviceState = store.DeviceState
-	// StoredAlert is one persisted fleet alert event.
-	StoredAlert = store.AlertEvent
-	// StateRecoveryInfo reports what opening a state directory recovered.
-	StateRecoveryInfo = store.RecoveryInfo
-	// StateStoreStats summarizes a store's footprint.
-	StateStoreStats = store.Stats
-	// StateSink observes watermark updates in verdict-application order
-	// (implemented by StateStore).
-	StateSink = core.StateSink
-	// StateSource re-hydrates watermarks evicted from verifier memory
-	// (implemented by StateStore).
-	StateSource = core.StateSource
-)
-
-// OpenStateStore opens (creating if necessary) a durable state store
-// rooted at dir and recovers its contents.
-func OpenStateStore(dir string, opts StateStoreOptions) (*StateStore, error) {
-	return store.Open(dir, opts)
-}
+func NewVerifier(cfg VerifierConfig) (*core.Verifier, error) { return core.NewVerifier(cfg) }
 
 // NewRegularSchedule measures every tm (phase 0).
-func NewRegularSchedule(tm Ticks) (Schedule, error) {
-	s, err := core.NewRegular(tm)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+func NewRegularSchedule(tm Ticks) (core.Schedule, error) {
+	return NewStaggeredSchedule(tm, 0)
 }
 
 // NewStaggeredSchedule measures every tm at the given phase offset, for
 // swarm members that must not measure simultaneously (§6).
-func NewStaggeredSchedule(tm, phase Ticks) (Schedule, error) {
+func NewStaggeredSchedule(tm, phase Ticks) (core.Schedule, error) {
 	s, err := core.NewRegularWithPhase(tm, phase)
 	if err != nil {
 		return nil, err
@@ -236,31 +127,21 @@ func NewStaggeredSchedule(tm, phase Ticks) (Schedule, error) {
 	return s, nil
 }
 
-// NewIrregularSchedule draws intervals in [l, u) from a CSPRNG keyed with
-// the device secret (§3.5); schedule-aware malware cannot predict it.
-func NewIrregularSchedule(key, personalization []byte, l, u Ticks) (Schedule, error) {
-	return core.NewIrregular(drbg.New(key, personalization), l, u)
-}
-
-// StatelessIrregularSchedule is the PRF variant of §3.5's irregular
-// intervals: TM_next = map(PRF_K(t_i)). Being stateless, it lets the
-// verifier recompute and check every expected interval from any collected
-// history without replaying a generator from device boot.
-type StatelessIrregularSchedule = core.StatelessIrregular
-
-// NewStatelessIrregularSchedule builds the spot-verifiable irregular
-// schedule with intervals in [l, u).
-func NewStatelessIrregularSchedule(alg Algorithm, key []byte, l, u Ticks) (*StatelessIrregularSchedule, error) {
+// NewStatelessIrregularSchedule builds the PRF variant of §3.5's irregular
+// intervals, TM_next = map(PRF_K(t_i)) in [l, u): being stateless, it lets
+// the verifier recompute and check every expected interval from any
+// collected history without replaying a generator from device boot.
+func NewStatelessIrregularSchedule(alg mac.Algorithm, key []byte, l, u Ticks) (*core.StatelessIrregular, error) {
 	return core.NewStatelessIrregular(alg, key, l, u)
 }
 
 // RecordSize returns the encoded size of one measurement record, used to
 // dimension device store regions: StoreSize = Slots × RecordSize(alg).
-func RecordSize(alg Algorithm) int { return core.RecordSize(alg) }
+func RecordSize(alg mac.Algorithm) int { return core.RecordSize(alg) }
 
 // MeasurementTime returns the calibrated duration of one self-measurement
 // over memBytes of memory (Fig. 6 / Fig. 8).
-func MeasurementTime(a Arch, alg Algorithm, memBytes int) Ticks {
+func MeasurementTime(a costmodel.Arch, alg mac.Algorithm, memBytes int) Ticks {
 	return costmodel.MeasurementTime(a, alg, memBytes)
 }
 
@@ -274,93 +155,40 @@ type (
 	ScenarioResult = qoa.ScenarioResult
 	// AvailabilityConfig parameterizes the §5 time-sensitive experiment.
 	AvailabilityConfig = qoa.AvailabilityConfig
-	// AvailabilityResult reports deadline misses vs attestation loss.
-	AvailabilityResult = qoa.AvailabilityResult
 )
 
 // RunScenario executes a full QoA scenario (Fig. 1 style).
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) { return qoa.RunScenario(cfg) }
 
 // RunAvailability executes the §5 time-sensitive application experiment.
-func RunAvailability(cfg AvailabilityConfig) (AvailabilityResult, error) {
+func RunAvailability(cfg AvailabilityConfig) (qoa.AvailabilityResult, error) {
 	return qoa.RunAvailability(cfg)
 }
 
-// Swarm attestation (§6).
-type (
-	// SwarmConfig parameterizes a mobile swarm.
-	SwarmConfig = swarm.Config
-	// Swarm is a group of prover devices with mobility.
-	Swarm = swarm.Swarm
-	// SwarmInstanceResult reports one collective attestation instance.
-	SwarmInstanceResult = swarm.InstanceResult
-	// SwarmTree is a BFS topology snapshot.
-	SwarmTree = swarm.Tree
-	// QoSALevel selects how much information a collective report carries
-	// (binary / list / full — the LISA information axis).
-	QoSALevel = swarm.QoSALevel
-	// SwarmCollectiveReport is a QoSA-graded, verifier-validated collective
-	// attestation outcome with per-device temporal (QoA) grades.
-	SwarmCollectiveReport = swarm.CollectiveReport
-	// SwarmDeviceVerdict is one node's outcome within a collective report.
-	SwarmDeviceVerdict = swarm.DeviceVerdict
-	// TemporalGrade classifies evidence age against the measurement
-	// schedule (fresh / aging / withheld).
-	TemporalGrade = qoa.TemporalGrade
-	// CollectiveTemporal aggregates temporal grades across an instance.
-	CollectiveTemporal = qoa.CollectiveTemporal
-)
+// SwarmConfig parameterizes a mobile swarm (§6).
+type SwarmConfig = swarm.Config
 
-// QoSA report granularities.
-const (
-	QoSABinary = swarm.QoSABinary
-	QoSAList   = swarm.QoSAList
-	QoSAFull   = swarm.QoSAFull
-)
-
-// Temporal (QoA) evidence grades.
-const (
-	TemporalUngraded = qoa.TemporalUngraded
-	TemporalFresh    = qoa.TemporalFresh
-	TemporalAging    = qoa.TemporalAging
-	TemporalWithheld = qoa.TemporalWithheld
-)
+// QoSAList is the per-device-list granularity of a collective report (the
+// LISA information axis).
+const QoSAList = swarm.QoSAList
 
 // NewSwarm builds a mobile swarm of ERASMUS provers.
-func NewSwarm(cfg SwarmConfig) (*Swarm, error) { return swarm.New(cfg) }
+func NewSwarm(cfg SwarmConfig) (*swarm.Swarm, error) { return swarm.New(cfg) }
 
-// GradeTemporal classifies freshness f against a schedule with nominal
-// period tm, maximum tolerated gap maxGap and clock-skew tolerance skew.
-func GradeTemporal(f, tm, maxGap, skew Ticks) TemporalGrade {
-	return qoa.GradeTemporal(f, tm, maxGap, skew)
-}
-
-// Networking: the UDP-like simulated transport and the collection
-// protocols running over it.
+// Networking: the UDP-like simulated transport provers are attached to.
 type (
 	// Network is a lossy, latency-modeled datagram fabric.
 	Network = netsim.Network
 	// NetworkConfig parameterizes latency, jitter and loss.
 	NetworkConfig = netsim.Config
-	// ProverEndpoint serves a prover's collection phase on the network.
-	ProverEndpoint = session.ProverEndpoint
-	// VerifierClient issues collections with timeout and retransmission.
-	VerifierClient = session.VerifierClient
-	// CollectResult is a networked collection outcome.
-	CollectResult = session.CollectResult
 )
 
 // NewNetwork builds a simulated datagram network.
 func NewNetwork(e *Engine, cfg NetworkConfig) (*Network, error) { return netsim.New(e, cfg) }
 
 // AttachProver binds a prover to a network address.
-func AttachProver(n *Network, e *Engine, addr string, p *Prover, alg Algorithm) (*ProverEndpoint, error) {
+func AttachProver(n *Network, e *Engine, addr string, p *Prover, alg mac.Algorithm) (*session.ProverEndpoint, error) {
 	return session.AttachProver(n, e, addr, p, alg)
-}
-
-// NewVerifierClient builds a networked collection client.
-func NewVerifierClient(n *Network, e *Engine, addr string, alg Algorithm, key []byte, clock func() uint64) (*VerifierClient, error) {
-	return session.NewVerifierClient(n, e, addr, alg, key, clock)
 }
 
 // Fleet operations: a verifier managing a population of provers over a
@@ -371,52 +199,19 @@ type (
 	// population.
 	FleetManager = fleet.Manager
 	// FleetManagerConfig parameterizes a manager (transport, pipeline
-	// sizing, unreachable threshold).
+	// sizing, unreachable threshold, durable Store).
 	FleetManagerConfig = fleet.ManagerConfig
-	// FleetCollector is the transport a manager drives; implementations
-	// exist for the simulated network and for real UDP sockets.
-	FleetCollector = fleet.Collector
-	// SimCollector collects over the simulated datagram network.
-	SimCollector = fleet.SimCollector
-	// UDPCollector collects over pooled real UDP sockets.
-	UDPCollector = fleet.UDPCollector
 	// FleetDeviceConfig registers one prover with the manager.
 	FleetDeviceConfig = fleet.DeviceConfig
 	// FleetAlert is one fleet event (infection, tamper, unreachable).
 	FleetAlert = fleet.Alert
-	// StreamedFleetAlert is one alert with its monotone stream sequence
-	// number — the element of FleetManager.AlertsSince and the
-	// /watch/alerts line. Consumers resume a dropped stream by passing
-	// the last Seq they processed back as the cursor.
-	StreamedFleetAlert = fleet.StreamedAlert
-	// FleetAlertSubscription is a live alert-stream subscription from
-	// FleetManager.WatchAlerts: a bounded channel plus drop accounting,
-	// healed from retained history via AlertsSince after overflow.
-	FleetAlertSubscription = obs.Subscription[fleet.StreamedAlert]
-	// FleetDeviceSchedule is one device's effective collection schedule
-	// under the adaptive TC controller (FleetManagerConfig
-	// AdaptiveSchedule; the /schedz payload line).
-	FleetDeviceSchedule = fleet.DeviceSchedule
-	// FleetDeviceStatus is one dashboard line.
-	FleetDeviceStatus = fleet.DeviceStatus
-	// UDPFleetServer hosts many provers on one real UDP socket, demuxed
-	// by a device-id frame.
-	UDPFleetServer = udptransport.Server
 )
 
 // Fleet alert kinds.
 const (
-	AlertInfection   = fleet.AlertInfection
-	AlertTamper      = fleet.AlertTamper
-	AlertUnreachable = fleet.AlertUnreachable
-	AlertRecovered   = fleet.AlertRecovered
+	AlertInfection = fleet.AlertInfection
+	AlertTamper    = fleet.AlertTamper
 )
-
-// NewFleetManager builds the verifier-side operations layer over the
-// simulated network.
-func NewFleetManager(e *Engine, n *Network, addr string, clock func() uint64) (*FleetManager, error) {
-	return fleet.NewManager(e, n, addr, clock)
-}
 
 // NewFleetManagerWith builds a fleet manager over an explicit transport.
 func NewFleetManagerWith(cfg FleetManagerConfig) (*FleetManager, error) {
@@ -424,20 +219,20 @@ func NewFleetManagerWith(cfg FleetManagerConfig) (*FleetManager, error) {
 }
 
 // NewSimCollector builds the simulated-network collection transport.
-func NewSimCollector(n *Network, e *Engine, addr string, clock func() uint64) (*SimCollector, error) {
+func NewSimCollector(n *Network, e *Engine, addr string, clock func() uint64) (*fleet.SimCollector, error) {
 	return fleet.NewSimCollector(n, e, addr, clock)
 }
 
 // NewUDPCollector dials a UDP fleet server with a socket pool of the
 // given size (the collection concurrency bound).
-func NewUDPCollector(server string, poolSize int) (*UDPCollector, error) {
+func NewUDPCollector(server string, poolSize int) (*fleet.UDPCollector, error) {
 	return fleet.NewUDPCollector(server, poolSize)
 }
 
 // ServeUDPFleet binds a real UDP socket serving any number of provers
 // (added with Host) that live on the given engine; the server pumps the
 // engine to track the wall clock.
-func ServeUDPFleet(addr string, e *Engine, alg Algorithm) (*UDPFleetServer, error) {
+func ServeUDPFleet(addr string, e *Engine, alg mac.Algorithm) (*udptransport.Server, error) {
 	return udptransport.ServeFleet(addr, e, alg)
 }
 
@@ -445,143 +240,73 @@ func ServeUDPFleet(addr string, e *Engine, alg Algorithm) (*UDPFleetServer, erro
 // until horizon, for fleets collected over a real-time transport.
 func PumpFleetRealTime(e *Engine, horizon Ticks) { fleet.PumpRealTime(e, horizon, 0) }
 
+// Durable verifier state: an append-only, segmented, checksummed
+// write-ahead log of watermark updates, device status and alert events,
+// compacted into snapshots (~150 B per device), with crash-consistent
+// recovery. A StateStore plugs into FleetManagerConfig.Store, so a
+// verifier process can die and a successor resumes delta collection with
+// zero re-alerts and zero forced full re-verification rounds.
+type (
+	// StateStore is the WAL + snapshot store backing a durable verifier.
+	StateStore = store.Store
+	// StateStoreOptions tunes segment rotation and snapshot cadence.
+	StateStoreOptions = store.Options
+)
+
+// OpenStateStore opens (creating if necessary) a durable state store
+// rooted at dir and recovers its contents.
+func OpenStateStore(dir string, opts StateStoreOptions) (*StateStore, error) {
+	return store.Open(dir, opts)
+}
+
 // Population-scale simulation: a sharded fleet of 10⁵-class provers with
 // churn, infection waves and batched parallel verification.
 type (
 	// PopulationConfig parameterizes a popsim run.
 	PopulationConfig = popsim.Config
-	// PopulationResult aggregates one run.
-	PopulationResult = popsim.Result
-	// PopulationStats is the streaming aggregate over the population.
-	PopulationStats = popsim.Stats
-	// PopulationShardReport is one shard's throughput contribution.
-	PopulationShardReport = popsim.ShardReport
 	// ChurnConfig models devices joining and retiring mid-run.
 	ChurnConfig = popsim.ChurnConfig
 	// WaveConfig models an infection wave sweeping the population.
 	WaveConfig = popsim.WaveConfig
+	// ManagedPopulationConfig parameterizes a fleet-managed run: the
+	// seeded popsim scenario driven end-to-end through a FleetManager
+	// over the "sim" or "udp" transport.
+	ManagedPopulationConfig = popsim.ManagedConfig
 )
 
 // RunPopulation executes a population-scale scenario across engine shards;
 // the same seed yields identical aggregate statistics for any shard count.
-func RunPopulation(cfg PopulationConfig) (*PopulationResult, error) { return popsim.Run(cfg) }
+func RunPopulation(cfg PopulationConfig) (*popsim.Result, error) { return popsim.Run(cfg) }
 
-// Fleet-managed population runs: the seeded popsim scenario generators
-// driven end-to-end through FleetManager on a chosen transport.
-type (
-	// ManagedPopulationConfig parameterizes a fleet-managed run.
-	ManagedPopulationConfig = popsim.ManagedConfig
-	// ManagedPopulationResult aggregates one fleet-managed run.
-	ManagedPopulationResult = popsim.ManagedResult
-)
-
-// RunManagedPopulation executes a fleet-managed population scenario over
-// the "sim" or "udp" transport.
-func RunManagedPopulation(cfg ManagedPopulationConfig) (*ManagedPopulationResult, error) {
-	return popsim.RunManaged(cfg)
-}
-
-// ManagedPopulationRun is a live fleet-managed scenario that the caller
-// drives incrementally (Pump) while reading manager state and metrics
-// between steps — the erasmus-serve pattern.
-type ManagedPopulationRun = popsim.ManagedRun
-
-// StartManagedPopulation builds and starts a managed scenario without
-// driving it to the horizon; finish with its Finish method.
-func StartManagedPopulation(cfg ManagedPopulationConfig) (*ManagedPopulationRun, error) {
+// StartManagedPopulation builds and starts a fleet-managed scenario
+// without driving it to the horizon: the caller advances it with Pump,
+// reading manager state and metrics between steps (the erasmus-fleet
+// -serve pattern), and ends it with Finish.
+func StartManagedPopulation(cfg ManagedPopulationConfig) (*popsim.ManagedRun, error) {
 	return popsim.StartManaged(cfg)
 }
 
 // Observability: a zero-dependency metrics registry with Prometheus text
-// exposition, a bounded per-collection tracer and a structured event log.
-// All of it is opt-in — a nil registry/tracer/log costs one nil-check per
-// touch point and never changes verdicts or alerts (enforced by the
+// exposition, a bounded per-collection tracer and a structured event log,
+// wired in through FleetManagerConfig / ManagedPopulationConfig. All of it
+// is opt-in — a nil registry/tracer/log costs one nil-check per touch
+// point and never changes verdicts or alerts (enforced by the
 // observability-equivalence tests).
-type (
-	// MetricsRegistry holds named counters, gauges and histograms and
-	// writes them in Prometheus text format. Wire one into
-	// FleetManagerConfig.Obs / ManagedPopulationConfig.Obs /
-	// StateStoreOptions.Metrics (via NewStateStoreMetrics).
-	MetricsRegistry = obs.Registry
-	// MetricsLabel is one name=value pair on a series.
-	MetricsLabel = obs.Label
-	// Counter is a monotonically increasing metric.
-	Counter = obs.Counter
-	// Gauge is a settable signed metric.
-	Gauge = obs.Gauge
-	// Histogram is a fixed-bucket distribution metric.
-	Histogram = obs.Histogram
-	// CollectionTracer retains the most recent collection spans in a ring
-	// — the /tracez post-mortem feed.
-	CollectionTracer = obs.Tracer
-	// CollectionSpan is one traced collection: launch tick, pipeline wall
-	// clock, verify share, outcome.
-	CollectionSpan = obs.Span
-	// EventLog retains recent structured operational events.
-	EventLog = obs.EventLog
-	// Event is one structured operational event.
-	Event = obs.Event
-	// FleetHealth is a manager liveness snapshot (the /healthz payload):
-	// OK goes false when a durability error is sticky.
-	FleetHealth = fleet.Health
-	// StateStoreMetrics instruments a StateStore (WAL append/fsync
-	// latency, rotations, snapshots, recovery, sticky errors).
-	StateStoreMetrics = store.Metrics
-)
 
 // NewMetricsRegistry builds an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
+func NewMetricsRegistry() *obs.Registry { return obs.NewRegistry() }
 
-// NewCollectionTracer builds a tracer retaining the last capacity spans.
-func NewCollectionTracer(capacity int) *CollectionTracer { return obs.NewTracer(capacity) }
+// NewCollectionTracer builds a tracer retaining the last capacity
+// collection spans — the /tracez post-mortem feed.
+func NewCollectionTracer(capacity int) *obs.Tracer { return obs.NewTracer(capacity) }
 
 // NewEventLog builds an event log retaining the last capacity events.
-func NewEventLog(capacity int) *EventLog { return obs.NewEventLog(capacity) }
-
-// NewStateStoreMetrics registers the store's metric families on r (nil r
-// yields inert metrics) for use in StateStoreOptions.Metrics.
-func NewStateStoreMetrics(r *MetricsRegistry) *StateStoreMetrics { return store.NewMetrics(r) }
+func NewEventLog(capacity int) *obs.EventLog { return obs.NewEventLog(capacity) }
 
 // ServeMetrics exposes the registry at /metrics on a background HTTP
 // server bound to addr (use "127.0.0.1:0" for an ephemeral port). It
 // returns the bound address and a shutdown function. For the full
-// verifier surface use NewServeMux (or cmd/erasmus-serve).
-func ServeMetrics(addr string, r *MetricsRegistry) (string, func() error, error) {
+// verifier surface run erasmus-fleet -serve.
+func ServeMetrics(addr string, r *obs.Registry) (string, func() error, error) {
 	return obs.ServeMetrics(addr, r)
-}
-
-// ServeConfig assembles one verifier's full HTTP surface for NewServeMux.
-// Manager is required; every other feed is optional.
-type ServeConfig = serve.Config
-
-// NewServeMux builds the verifier's complete HTTP surface: /metrics,
-// /livez, /readyz, /healthz, /statusz, /schedz, /tracez, /eventz, the
-// resumable ndjson streams /watch/alerts and /watch/events (?since=<seq>
-// cursors, explicit gap markers for trimmed history), and pprof — the
-// same mux cmd/erasmus-serve exposes.
-func NewServeMux(cfg ServeConfig) *http.ServeMux { return serve.NewMux(cfg) }
-
-// DefaultEpoch is the RROC value at simulation time zero for both device
-// models (the paper's Fig. 3 timestamp), in nanoseconds; verifier clocks
-// built as DefaultEpoch + engine.Now() stay synchronized with devices.
-const DefaultEpoch = mcu.DefaultEpoch
-
-// Static analysis. The repo's equivalence guarantees (bit-identical
-// alert streams across shard counts, transports, delta vs full
-// collection, crash-resume, instrumentation on/off) rest on source
-// conventions the type system cannot check; erasmus-lint mechanizes
-// them. This facade runs the same suite programmatically.
-type (
-	// LintResult is one lint run: unsuppressed diagnostics plus the
-	// suppressed audit trail, JSON-encodable for tooling.
-	LintResult = analysis.Result
-	// LintDiagnostic is one analyzer finding.
-	LintDiagnostic = analysis.Diagnostic
-)
-
-// RunLint applies the full erasmus-lint rule suite to the module
-// containing dir (patterns default to ./...) — the programmatic
-// equivalent of `erasmus-lint ./...`.
-func RunLint(dir string, patterns ...string) (*LintResult, error) {
-	return analysis.Run(dir, patterns...)
 }

@@ -1,12 +1,11 @@
 package erasmus_test
 
 import (
-	"encoding/json"
 	"testing"
 
 	"erasmus"
-	"erasmus/internal/core"
 	"erasmus/internal/crypto/mac"
+	"erasmus/internal/qoa"
 )
 
 // End-to-end through the public API only: build a device, run the prover,
@@ -94,13 +93,6 @@ func TestPublicAPISchedules(t *testing.T) {
 	if _, err := erasmus.NewStaggeredSchedule(erasmus.Hour, erasmus.Minute); err != nil {
 		t.Errorf("staggered schedule: %v", err)
 	}
-	s, err := erasmus.NewIrregularSchedule([]byte("K"), []byte("dev"), erasmus.Minute, erasmus.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Stateless() {
-		t.Error("irregular schedule claims statelessness")
-	}
 }
 
 func TestPublicAPIScenario(t *testing.T) {
@@ -144,7 +136,11 @@ func TestPublicAPINetworkAndFleet(t *testing.T) {
 	prv.Start()
 
 	clock := func() uint64 { return erasmus.DefaultEpoch + uint64(e.Now()) }
-	mgr, err := erasmus.NewFleetManager(e, n, "hq", clock)
+	col, err := erasmus.NewSimCollector(n, e, "hq", clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := erasmus.NewFleetManagerWith(erasmus.FleetManagerConfig{Engine: e, Collector: col, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,17 +166,6 @@ func TestPublicAPINetworkAndFleet(t *testing.T) {
 	if len(mgr.Alerts()) != 0 {
 		t.Fatalf("unexpected alerts: %v", mgr.Alerts())
 	}
-	// The direct client also works through the facade.
-	c, err := erasmus.NewVerifierClient(n, e, "spot", erasmus.KeyedBLAKE2s, key, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := false
-	c.Collect("dev-1", 2, func(r erasmus.CollectResult, err error) { done = err == nil && len(r.Records) == 2 })
-	e.RunUntil(e.Now() + erasmus.Second)
-	if !done {
-		t.Fatal("facade VerifierClient collection failed")
-	}
 }
 
 func TestPublicAPISwarm(t *testing.T) {
@@ -201,7 +186,7 @@ func TestPublicAPISwarm(t *testing.T) {
 	if !rep.Healthy || len(rep.Devices) != 4 {
 		t.Fatalf("collective report: healthy=%v devices=%d", rep.Healthy, len(rep.Devices))
 	}
-	if rep.Temporal.Worst() != erasmus.TemporalFresh {
+	if rep.Temporal.Worst() != qoa.TemporalFresh {
 		t.Fatalf("clean running swarm graded %v", rep.Temporal.Worst())
 	}
 }
@@ -236,12 +221,6 @@ func TestPublicAPIMeasurementTime(t *testing.T) {
 	if lo.Seconds() < 6.5 || lo.Seconds() > 7.5 {
 		t.Fatalf("MSP430 10KB = %v", lo)
 	}
-	if _, err := erasmus.ParseAlgorithm("blake2s"); err != nil {
-		t.Fatal(err)
-	}
-	if len(erasmus.Algorithms()) != 3 {
-		t.Fatal("algorithm list wrong")
-	}
 }
 
 // Population scale and batched verification through the public API only.
@@ -260,200 +239,5 @@ func TestPublicAPIPopulation(t *testing.T) {
 	}
 	if res.Stats.Devices != 120 || res.Stats.InfectionsDetected == 0 {
 		t.Fatalf("population run went wrong: %+v", res.Stats)
-	}
-}
-
-func TestPublicAPIBatchVerifier(t *testing.T) {
-	alg := erasmus.KeyedBLAKE2s
-	key := []byte("public-batch-key")
-	golden := []byte("golden memory image")
-	vrf, err := erasmus.NewVerifier(erasmus.VerifierConfig{
-		Alg: alg, Key: key, GoldenHashes: [][]byte{mac.HashSum(alg, golden)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jobs []erasmus.VerifyJob
-	for i := 0; i < 8; i++ {
-		rec := core.ComputeRecord(alg, key, 1000+uint64(i), golden)
-		jobs = append(jobs, erasmus.VerifyJob{Verifier: vrf, Records: []erasmus.Record{rec}, Now: 2000})
-	}
-	reports := erasmus.NewBatchVerifier(4).Verify(jobs)
-	if len(reports) != len(jobs) {
-		t.Fatalf("got %d reports for %d jobs", len(reports), len(jobs))
-	}
-	for i, rep := range reports {
-		if !rep.Healthy() {
-			t.Errorf("job %d: healthy history judged unhealthy: %+v", i, rep.Issues)
-		}
-	}
-}
-
-// Incremental attestation through the public API only: a full collection
-// establishes the watermark in the AttestationService, a delta collection
-// ships anchor + new records, and the service verifies O(new).
-func TestPublicAPIIncrementalAttestation(t *testing.T) {
-	e := erasmus.NewEngine()
-	key := []byte("public-api-delta-key")
-	dev, err := erasmus.NewMSP430(erasmus.MSP430Config{
-		Engine:     e,
-		MemorySize: 2048,
-		StoreSize:  8 * erasmus.RecordSize(erasmus.KeyedBLAKE2s),
-		Key:        key,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := erasmus.NewRegularSchedule(erasmus.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prv, err := erasmus.NewProver(dev, erasmus.ProverConfig{
-		Alg: erasmus.KeyedBLAKE2s, Schedule: sched, Slots: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vrf, err := erasmus.NewVerifier(erasmus.VerifierConfig{
-		Alg: erasmus.KeyedBLAKE2s, Key: key,
-		GoldenHashes: [][]byte{mac.HashSum(erasmus.KeyedBLAKE2s, dev.Memory())},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := erasmus.NewAttestationService(erasmus.AttestationServiceConfig{})
-
-	prv.Start()
-	e.RunUntil(4 * erasmus.Hour)
-	recs, _ := prv.HandleCollect(4)
-	rep := svc.Verify("dev-1", vrf, recs, dev.RROC(), 4)
-	if !rep.Healthy() || rep.DeltaApplied {
-		t.Fatalf("first round should be a healthy stateless verification: %+v", rep)
-	}
-	wm, ok := svc.Watermark("dev-1")
-	if !ok || wm.IsZero() {
-		t.Fatal("watermark not established")
-	}
-
-	e.RunUntil(7 * erasmus.Hour)
-	prv.Stop()
-	deltaRecs, _ := prv.HandleCollectDelta(wm.T, 0)
-	if len(deltaRecs) != 4 { // 3 new + anchor
-		t.Fatalf("delta shipped %d records, want 4", len(deltaRecs))
-	}
-	rep2 := svc.Verify("dev-1", vrf, deltaRecs, dev.RROC(), 4)
-	if !rep2.Healthy() || !rep2.DeltaApplied || rep2.OverlapTrusted != 1 {
-		t.Fatalf("incremental round wrong: %+v", rep2)
-	}
-	if len(rep2.Records) != 3 {
-		t.Fatalf("verified %d new records, want 3", len(rep2.Records))
-	}
-	next := erasmus.NextWatermark(wm, rep2)
-	if got, _ := svc.Watermark("dev-1"); got.T != next.T {
-		t.Fatal("service state and NextWatermark disagree")
-	}
-	if _, err := core.DecodeDeltaCollectRequest(erasmus.DeltaCollectRequest{Since: wm.T, K: 0}.Encode()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Durable verifier state through the public API: a store-backed
-// attestation service whose watermark survives a "process restart" (a
-// second store opened over the same directory), resuming incremental
-// verification with no stateless fallback round.
-func TestPublicAPIDurableState(t *testing.T) {
-	dir := t.TempDir()
-	e := erasmus.NewEngine()
-	key := []byte("public-api-durable-key")
-	dev, err := erasmus.NewMSP430(erasmus.MSP430Config{
-		Engine:     e,
-		MemorySize: 2048,
-		StoreSize:  8 * erasmus.RecordSize(erasmus.KeyedBLAKE2s),
-		Key:        key,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := erasmus.NewRegularSchedule(erasmus.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prv, err := erasmus.NewProver(dev, erasmus.ProverConfig{
-		Alg: erasmus.KeyedBLAKE2s, Schedule: sched, Slots: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vrf, err := erasmus.NewVerifier(erasmus.VerifierConfig{
-		Alg: erasmus.KeyedBLAKE2s, Key: key,
-		GoldenHashes: [][]byte{mac.HashSum(erasmus.KeyedBLAKE2s, dev.Memory())},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := erasmus.OpenStateStore(dir, erasmus.StateStoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := erasmus.NewAttestationService(erasmus.AttestationServiceConfig{Sink: st, Source: st})
-	prv.Start()
-	e.RunUntil(4 * erasmus.Hour)
-	recs, _ := prv.HandleCollect(4)
-	if rep := svc.Verify("dev-1", vrf, recs, dev.RROC(), 4); !rep.Healthy() {
-		t.Fatalf("first round unhealthy: %+v", rep)
-	}
-	if err := st.Close(); err != nil { // the verifier process dies
-		t.Fatal(err)
-	}
-
-	st2, err := erasmus.OpenStateStore(dir, erasmus.StateStoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if ri := st2.Recovery(); ri.RecordsReplayed == 0 {
-		t.Fatalf("nothing recovered: %+v", ri)
-	}
-	svc2 := erasmus.NewAttestationService(erasmus.AttestationServiceConfig{Sink: st2, Source: st2})
-	wm, ok := svc2.Watermark("dev-1") // re-hydrated from the store
-	if !ok || wm.IsZero() {
-		t.Fatal("watermark did not survive the restart")
-	}
-	e.RunUntil(7 * erasmus.Hour)
-	prv.Stop()
-	deltaRecs, _ := prv.HandleCollectDelta(wm.T, 0)
-	rep := svc2.Verify("dev-1", vrf, deltaRecs, dev.RROC(), 4)
-	if !rep.Healthy() || !rep.DeltaApplied {
-		t.Fatalf("restarted verifier fell back to stateless verification: %+v", rep)
-	}
-}
-
-// The analyzer suite through the public API: the shipped tree must lint
-// clean (zero unsuppressed diagnostics), every suppression must carry a
-// reason, and the result must be JSON-encodable for tooling.
-func TestPublicAPILint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module lint type-checks the full tree")
-	}
-	res, err := erasmus.RunLint(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Clean() {
-		for _, d := range res.Diagnostics {
-			t.Errorf("unsuppressed: %s", d)
-		}
-	}
-	if res.Packages == 0 {
-		t.Fatal("lint loaded no packages")
-	}
-	for _, d := range res.Suppressed {
-		if d.Reason == "" {
-			t.Errorf("suppression without a reason at %s", d)
-		}
-	}
-	if _, err := json.Marshal(res); err != nil {
-		t.Errorf("result not JSON-encodable: %v", err)
 	}
 }

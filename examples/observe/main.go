@@ -12,7 +12,7 @@
 //
 // The instrumentation is a read-only tap: running the same scenario with
 // Obs/Tracer/Events nil produces the identical alert stream (enforced by
-// TestObservabilityEquivalence). cmd/erasmus-serve wraps this pattern in
+// TestObservabilityEquivalence). erasmus-fleet -serve wraps this pattern in
 // a daemon with /metrics, /healthz, /statusz, /tracez, /eventz and pprof.
 //
 // Run with:
@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"time"
 
 	"erasmus"
 )
@@ -71,7 +70,7 @@ func main() {
 	// step, read the fleet like a monitoring stack: health from the
 	// manager, series from our own scrape endpoint.
 	for step := 1; step <= 6; step++ {
-		run.Pump(erasmus.Ticks(step)*500*erasmus.Millisecond, 2*time.Millisecond)
+		run.Pump(erasmus.Ticks(step) * 500 * erasmus.Millisecond)
 		h := run.Manager().Health()
 		fmt.Printf("t=%-6v healthy %2d/%2d  queue %d  inflight %d  infected-series: %s\n",
 			erasmus.Ticks(step)*500*erasmus.Millisecond, h.Healthy, h.Devices,

@@ -235,3 +235,27 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		t.Errorf("clean result encodes a null slice: %s", data)
 	}
 }
+
+// TestModuleLintsClean runs the full rule suite over the shipped module —
+// what `erasmus-lint ./...` does: zero unsuppressed diagnostics, and every
+// suppression carries its reason.
+func TestModuleLintsClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module lint type-checks the full tree")
+	}
+	res, err := Run(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range res.Diagnostics {
+		t.Errorf("unsuppressed: %s", d)
+	}
+	if res.Packages == 0 {
+		t.Fatal("lint loaded no packages")
+	}
+	for _, d := range res.Suppressed {
+		if d.Reason == "" {
+			t.Errorf("suppression without a reason at %s", d)
+		}
+	}
+}

@@ -71,8 +71,8 @@ func EventsHandler(l *EventLog) http.Handler {
 // ServeMetrics starts a background HTTP server exposing the registry at
 // /metrics on addr (e.g. "127.0.0.1:0"). It returns the bound address and
 // a shutdown function — the one-call exposition path for a process that
-// wants metrics without assembling its own mux (erasmus-serve builds a
-// fuller surface by hand).
+// wants metrics without assembling its own mux (erasmus-fleet -serve
+// mounts the fuller internal/serve surface).
 func ServeMetrics(addr string, r *Registry) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

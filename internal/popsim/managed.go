@@ -343,7 +343,7 @@ func RunManaged(cfg ManagedConfig) (*ManagedResult, error) {
 // ManagedRun is a live fleet-managed scenario: devices built and booted,
 // manager started, collections ticking — but the engine not yet driven to
 // the horizon. RunManaged drives it to completion in one call; a
-// long-running process (erasmus-serve) instead pumps the engine
+// long-running process (erasmus-fleet -serve) instead pumps the engine
 // incrementally with Pump while reading Manager state between steps.
 //
 // The driving methods (RunToHorizon, Pump, Finish) must be called from one
@@ -458,10 +458,11 @@ func (r *ManagedRun) Manager() *fleet.Manager { return r.mgr }
 func (r *ManagedRun) Engine() *sim.Engine { return r.engine }
 
 // RunToHorizon drives the engine to the configured Duration: instantly in
-// virtual time on the sim transport, wall-paced on udp.
+// virtual time on the sim transport, wall-paced on udp (at
+// fleet.PumpRealTime's default granularity, as Pump is).
 func (r *ManagedRun) RunToHorizon() {
 	if r.cfg.Transport == "udp" {
-		fleet.PumpRealTime(r.engine, r.cfg.Duration, 2*time.Millisecond)
+		fleet.PumpRealTime(r.engine, r.cfg.Duration, 0)
 	} else if r.engine.Now() < r.cfg.Duration {
 		r.engine.RunUntil(r.cfg.Duration)
 	}
@@ -472,8 +473,8 @@ func (r *ManagedRun) RunToHorizon() {
 // virtual time until — one virtual nanosecond per wall nanosecond, so a
 // sim-transport fleet behaves like a live deployment while HTTP handlers
 // read the manager between steps. Returns when the engine reaches until.
-func (r *ManagedRun) Pump(until sim.Ticks, step time.Duration) {
-	fleet.PumpRealTime(r.engine, until, step)
+func (r *ManagedRun) Pump(until sim.Ticks) {
+	fleet.PumpRealTime(r.engine, until, 0)
 	r.publish()
 }
 

@@ -33,7 +33,7 @@ func obsEqConfig(stateDir string) ManagedConfig {
 // registry families across fleet/verify/store/popsim, the collection
 // tracer and the event log — must not change a single alert, verdict or
 // delta round. This is the whole-stack version of the fleet-level
-// equivalence test, and what makes `-metrics-addr` safe to turn on in
+// equivalence test, and what makes `-serve` safe to turn on in
 // production: instrumentation is a read-only tap.
 func TestObservabilityEquivalence(t *testing.T) {
 	plain, err := RunManaged(obsEqConfig(t.TempDir()))
@@ -72,7 +72,7 @@ func TestObservabilityEquivalence(t *testing.T) {
 	}
 
 	// The instrumented run must expose the key series with real samples —
-	// the same assertions the CI smoke step makes against erasmus-serve.
+	// the same assertions the CI smoke step makes against erasmus-fleet -serve.
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)
 	text := sb.String()

@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"erasmus/internal/core"
+	"erasmus/internal/crypto/mac"
+	"erasmus/internal/hw/mcu"
+	"erasmus/internal/sim"
 )
 
 func wm(t uint64, tag byte) core.Watermark {
@@ -624,5 +627,66 @@ func TestAlertSeqAndAlertsSince(t *testing.T) {
 	}
 	if got := r.Alerts(); got[len(got)-1].Seq != 7 {
 		t.Fatalf("caller-set seq leaked through: %+v", got[len(got)-1])
+	}
+}
+
+// A store-backed attestation service against a real prover: the watermark
+// survives a "process restart" (a second store opened over the same
+// directory), and the successor resumes incremental verification with no
+// stateless fallback round.
+func TestServiceResumesDeltaAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	e := sim.NewEngine()
+	alg := mac.KeyedBLAKE2s
+	key := []byte("store-service-restart-key")
+	dev, err := mcu.New(mcu.Config{
+		Engine: e, MemorySize: 2048, StoreSize: 8 * core.RecordSize(alg), Key: key,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := core.NewRegular(sim.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prv, err := core.NewProver(dev, core.ProverConfig{Alg: alg, Schedule: sched, Slots: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vrf, err := core.NewVerifier(core.VerifierConfig{
+		Alg: alg, Key: key, GoldenHashes: [][]byte{mac.HashSum(alg, dev.Memory())},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st := mustOpen(t, dir, Options{})
+	svc := core.NewAttestationService(core.ServiceConfig{Sink: st, Source: st})
+	prv.Start()
+	e.RunUntil(4 * sim.Hour)
+	recs, _ := prv.HandleCollect(4)
+	if rep := svc.Verify("dev-1", vrf, recs, dev.RROC(), 4); !rep.Healthy() {
+		t.Fatalf("first round unhealthy: %+v", rep)
+	}
+	if err := st.Close(); err != nil { // the verifier process dies
+		t.Fatal(err)
+	}
+
+	st2 := mustOpen(t, dir, Options{})
+	defer st2.Close()
+	if ri := st2.Recovery(); ri.RecordsReplayed == 0 {
+		t.Fatalf("nothing recovered: %+v", ri)
+	}
+	svc2 := core.NewAttestationService(core.ServiceConfig{Sink: st2, Source: st2})
+	mark, ok := svc2.Watermark("dev-1") // re-hydrated from the store
+	if !ok || mark.IsZero() {
+		t.Fatal("watermark did not survive the restart")
+	}
+	e.RunUntil(7 * sim.Hour)
+	prv.Stop()
+	deltaRecs, _ := prv.HandleCollectDelta(mark.T, 0)
+	rep := svc2.Verify("dev-1", vrf, deltaRecs, dev.RROC(), 4)
+	if !rep.Healthy() || !rep.DeltaApplied {
+		t.Fatalf("restarted verifier fell back to stateless verification: %+v", rep)
 	}
 }
