@@ -348,8 +348,9 @@ func (ct *ctAnalysis) isTaintedField(pkg *Package, sel *ast.SelectorExpr) bool {
 	return ok && named.Obj().Name() == "Watermark"
 }
 
-// isMACSource reports whether fn is a module mac-package function whose
-// result carries key-derived bytes. Unkeyed digest helpers (Hash*) are
+// isMACSource reports whether fn is a module mac-package function or
+// method (a keyed mac.Context's AppendSum, say) whose result carries
+// key-derived bytes. Unkeyed digest helpers (Hash*) are
 // not sources: an attacker can compute those themselves, so comparing
 // them early-exit leaks nothing — they are content addresses, and the
 // golden-image membership checks depend on comparing them freely.

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
-	"crypto/subtle"
 	"encoding"
 	"encoding/binary"
 	"fmt"
@@ -259,9 +258,7 @@ func (p *Prover) HandleCollectDeltaAggregate(since, nonce uint64, k int, anchorH
 	state := marshalChain(p.chain)
 	var aggMAC []byte
 	attErr := p.dev.Attest(func(key []byte) {
-		p.aggMAC.Reset()
-		p.aggMAC.Write(AggMACInput(since, nonce, anchorHash, state))
-		aggMAC = p.aggMAC.Sum(nil)
+		aggMAC = p.macCtx.AppendSum(nil, AggMACInput(since, nonce, anchorHash, state))
 	})
 	p.dev.CPU().Occupy(cpu.KindCollection, timing.Total())
 	if attErr != nil {
@@ -320,7 +317,6 @@ type aggScratch struct {
 	dig  chainDigest
 	slab []byte
 	got  []byte
-	sum  []byte
 }
 
 var aggScratchPool = sync.Pool{New: func() any { return &aggScratch{dig: newChain()} }}
@@ -398,12 +394,9 @@ func (v *Verifier) aggregateReport(recs []Record, now uint64, expectedK int, wm 
 	if len(agg.State) > 0 && len(agg.MAC) > 0 {
 		s := aggScratchPool.Get().(*aggScratch)
 		s.got = appendAggMACInput(s.got[:0], agg.Since, agg.Nonce, agg.AnchorHash, agg.State)
-		h := v.aggMACPool.Get().(hash.Hash)
-		h.Reset()
-		h.Write(s.got)
-		s.sum = h.Sum(s.sum[:0])
-		v.aggMACPool.Put(h)
-		macOK = len(agg.MAC) == len(s.sum) && subtle.ConstantTimeCompare(s.sum, agg.MAC) == 1
+		c := v.macPool.Get().(*mac.Context)
+		macOK = c.Verify(s.got, agg.MAC)
+		v.macPool.Put(c)
 		aggScratchPool.Put(s)
 	}
 
@@ -447,7 +440,7 @@ func (v *Verifier) verifyAggregate(recs []Record, now uint64, expectedK int, wm 
 				fmt.Sprintf("history has %d records, schedule requires %d", len(recs), expectedK))
 		}
 		v.gradeChainTrusted(recs, now, &rep)
-		v.checkChain(recs, &rep)
+		v.checkChain(recs, nil, &rep)
 		v.checkFreshness(recs, now, &rep)
 		return rep, true
 	}
@@ -475,20 +468,7 @@ func (v *Verifier) verifyAggregate(recs []Record, now uint64, expectedK int, wm 
 	rep.DeltaApplied = true
 	rep.AggregateApplied = true
 	rep.OverlapTrusted = 1
-	// The anchor is the oldest shipped record, so it normally sits at
-	// the end of the newest-first slice; excising it is then a reslice,
-	// and since wm.Matches proved it byte-identical to the watermark,
-	// recs itself already IS verifySet+anchor for the seam check. Both
-	// aliases keep the hot path free of O(k) copies.
-	verifySet := recs[:anchorIdx]
-	chain := recs
-	if anchorIdx != len(recs)-1 {
-		verifySet = make([]Record, 0, len(recs)-1)
-		verifySet = append(verifySet, recs[:anchorIdx]...)
-		verifySet = append(verifySet, recs[anchorIdx+1:]...)
-		chain = append(append(make([]Record, 0, len(recs)), verifySet...),
-			Record{T: wm.T, Hash: wm.Hash, MAC: wm.MAC})
-	}
+	verifySet := exciseAnchor(recs, anchorIdx)
 
 	// Anchored-empty staleness, exactly as on the audit tier: an anchor
 	// past the maximum spacing with nothing new means measurements were
@@ -503,7 +483,7 @@ func (v *Verifier) verifyAggregate(recs []Record, now uint64, expectedK int, wm 
 
 	rep.Records = make([]VerifiedRecord, 0, len(verifySet))
 	v.gradeChainTrusted(verifySet, now, &rep)
-	v.checkChain(chain, &rep)
+	v.checkChain(verifySet, &wm, &rep)
 	v.checkFreshness(recs, now, &rep)
 	return rep, true
 }

@@ -86,8 +86,9 @@ func BenchmarkAggComponents(b *testing.B) {
 	b.Run("mac", func(b *testing.B) {
 		b.ReportAllocs()
 		input := AggMACInput(agg.Since, agg.Nonce, agg.AnchorHash, agg.State)
+		c := mac.NewContext(v.cfg.Alg, v.cfg.Key)
 		for i := 0; i < b.N; i++ {
-			if !mac.Verify(v.cfg.Alg, v.cfg.Key, input, agg.MAC) {
+			if !c.Verify(input, agg.MAC) {
 				b.Fatal("MAC rejected")
 			}
 		}

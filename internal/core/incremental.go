@@ -148,6 +148,18 @@ func (v *Verifier) VerifyDelta(recs []Record, now uint64, expectedK int, wm Wate
 	return rep, NextWatermark(wm, rep)
 }
 
+// exciseAnchor returns recs without the anchor at anchorIdx. The anchor is
+// the oldest shipped record, so it normally sits at the end of the
+// newest-first slice and excising it is a reslice, not an O(k) copy.
+func exciseAnchor(recs []Record, anchorIdx int) []Record {
+	if anchorIdx == len(recs)-1 {
+		return recs[:anchorIdx]
+	}
+	out := make([]Record, 0, len(recs)-1)
+	out = append(out, recs[:anchorIdx]...)
+	return append(out, recs[anchorIdx+1:]...)
+}
+
 // deltaReport is VerifyDelta without deriving the successor watermark.
 // The batch verify loop uses it directly: NextWatermark is a pure
 // function of (Watermark, Report) that pipeline callers re-derive in
@@ -182,9 +194,7 @@ func (v *Verifier) verifyDelta(recs []Record, now uint64, expectedK int, wm Wate
 	case wm.Matches(recs[anchorIdx]):
 		anchored = true
 		rep.OverlapTrusted = 1
-		verifySet = make([]Record, 0, len(recs)-1)
-		verifySet = append(verifySet, recs[:anchorIdx]...)
-		verifySet = append(verifySet, recs[anchorIdx+1:]...)
+		verifySet = exciseAnchor(recs, anchorIdx)
 	default:
 		// Same timestamp, different bytes: the already-verified record was
 		// modified in place. Leave it in the verify set so the usual MAC
@@ -230,16 +240,16 @@ func (v *Verifier) verifyDelta(recs []Record, now uint64, expectedK int, wm Wate
 	rep.Records = make([]VerifiedRecord, 0, len(verifySet))
 	v.checkRecords(verifySet, now, &rep)
 
-	// Ordering and spacing across the new records, with the anchor
-	// re-appended as the oldest element so the old/new seam is checked
-	// with the same rules as any interior pair. When the anchor is absent
-	// the seam is unverifiable (that is what WatermarkGap records), so no
-	// boundary gap is charged.
-	chain := verifySet
+	// Ordering and spacing across the new records, with the anchor as
+	// the oldest element so the old/new seam is checked with the same
+	// rules as any interior pair. When the anchor is absent the seam is
+	// unverifiable (that is what WatermarkGap records), so no boundary
+	// gap is charged.
+	var anchor *Watermark
 	if anchored {
-		chain = append(append([]Record(nil), verifySet...), Record{T: wm.T, Hash: wm.Hash, MAC: wm.MAC})
+		anchor = &wm
 	}
-	v.checkChain(chain, &rep)
+	v.checkChain(verifySet, anchor, &rep)
 
 	// Freshness is judged on everything shipped: with no new records the
 	// anchor is still the newest evidence.

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 
 	"erasmus/internal/costmodel"
 	"erasmus/internal/crypto/mac"
@@ -93,11 +92,11 @@ type Prover struct {
 	// detects. Rolling-buffer overwrites do not rewind it: the chain
 	// commits to history, the buffer merely caches the recent window.
 	chain chainDigest
-	// aggMAC is the keyed MAC behind every aggregate answer: one instance
-	// per prover, keyed once and only ever used inside the protected
-	// context — the counterpart of Verifier.aggMACPool — instead of
-	// keying a fresh MAC per answer.
-	aggMAC hash.Hash
+	// macCtx is the keyed MAC behind every measurement and every
+	// aggregate answer: one context per prover, keyed once and only ever
+	// used inside the protected context — the counterpart of
+	// Verifier.macPool — instead of keying a fresh MAC per message.
+	macCtx *mac.Context
 
 	pendingEv *sim.Event
 	running   bool
@@ -134,8 +133,8 @@ func NewProver(dev Device, cfg ProverConfig) (*Prover, error) {
 		return nil, err
 	}
 	p := &Prover{dev: dev, cfg: cfg, buf: buf, lastSlot: -1, chain: newChain()}
-	if err := dev.Attest(func(key []byte) { p.aggMAC = mac.New(cfg.Alg, key) }); err != nil {
-		return nil, fmt.Errorf("core: keying the aggregate MAC: %w", err)
+	if err := dev.Attest(func(key []byte) { p.macCtx = mac.NewContext(cfg.Alg, key) }); err != nil {
+		return nil, fmt.Errorf("core: keying the prover's MAC: %w", err)
 	}
 	return p, nil
 }
@@ -213,8 +212,8 @@ func (p *Prover) beginMeasurement(scheduledAt, retryBy uint64) {
 		if occ.Aborted {
 			return
 		}
-		attErr = p.dev.Attest(func(key []byte) {
-			rec = ComputeRecord(p.cfg.Alg, key, p.dev.RROC(), p.dev.Memory())
+		attErr = p.dev.Attest(func([]byte) {
+			rec = computeRecord(p.macCtx, p.cfg.Alg, p.dev.RROC(), p.dev.Memory())
 		})
 	})
 	e.At(occ.End, func() {
@@ -411,8 +410,8 @@ func (p *Prover) measureOnDemand() (Record, sim.Ticks, error) {
 	dur := costmodel.MeasurementTime(p.dev.Arch(), p.cfg.Alg, len(p.dev.Memory()))
 	p.dev.CPU().Occupy(cpu.KindMeasurement, dur)
 	var rec Record
-	err := p.dev.Attest(func(key []byte) {
-		rec = ComputeRecord(p.cfg.Alg, key, p.dev.RROC(), p.dev.Memory())
+	err := p.dev.Attest(func([]byte) {
+		rec = computeRecord(p.macCtx, p.cfg.Alg, p.dev.RROC(), p.dev.Memory())
 	})
 	if err != nil {
 		return Record{}, dur, err

@@ -61,6 +61,19 @@ func (r Record) VerifyMAC(alg mac.Algorithm, key []byte) bool {
 	return mac.Verify(alg, key, macInput(r.T, r.Hash), r.MAC)
 }
 
+// computeRecord is ComputeRecord on a context already keyed with the
+// device key — same bytes, without keying a MAC per measurement.
+func computeRecord(c *mac.Context, alg mac.Algorithm, t uint64, memory []byte) Record {
+	h := mac.HashSum(alg, memory)
+	return Record{T: t, Hash: h, MAC: c.AppendSumStamped(nil, t, h)}
+}
+
+// verifyMAC is VerifyMAC on a context already keyed with the device key:
+// the stamped message is macInput's layout, big-endian t then the hash.
+func (r Record) verifyMAC(c *mac.Context) bool {
+	return c.VerifyStamped(r.T, r.Hash, r.MAC)
+}
+
 // RecordSize returns the fixed encoded size of a record for the algorithm:
 // 8-byte timestamp, hash, MAC.
 func RecordSize(alg mac.Algorithm) int {

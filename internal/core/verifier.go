@@ -187,12 +187,14 @@ type Verifier struct {
 	cacheMu  sync.Mutex
 	macCache map[macCacheKey]struct{}
 
-	// aggMACPool holds keyed MAC instances (mac.New with this verifier's
-	// key) for the aggregate tier's one-MAC-per-collection check. Reset
-	// restores the keyed initial state for every supported algorithm, so
-	// the key schedule and the instance allocation are paid once per
-	// worker, not once per collection.
-	aggMACPool sync.Pool
+	// macPool holds MAC contexts keyed with this verifier's key, behind
+	// every MAC the hot paths check: each record of an audited history and
+	// the aggregate tier's one MAC per collection. A collection takes one
+	// and reuses it for all its records, so the key schedule and the
+	// instance are paid once per worker, not once per record. Keys are
+	// device-unique, so the pool is the only place a keyed instance lives:
+	// an idle verifier retains none past two garbage collections.
+	macPool sync.Pool
 }
 
 // NewVerifier validates the configuration.
@@ -219,7 +221,7 @@ func NewVerifier(cfg VerifierConfig) (*Verifier, error) {
 	if cfg.MACCacheSize > 0 {
 		v.macCache = make(map[macCacheKey]struct{}, cfg.MACCacheSize)
 	}
-	v.aggMACPool.New = func() any { return mac.New(v.cfg.Alg, v.cfg.Key) }
+	v.macPool.New = func() any { return mac.NewContext(v.cfg.Alg, v.cfg.Key) }
 	return v, nil
 }
 
@@ -229,17 +231,18 @@ func (v *Verifier) isGolden(h []byte) bool {
 	return ok
 }
 
-// verifyMAC authenticates one record, consulting the cache when enabled.
-func (v *Verifier) verifyMAC(rec Record) bool {
+// verifyMAC authenticates one record on the caller's context, consulting
+// the cache when enabled.
+func (v *Verifier) verifyMAC(c *mac.Context, rec Record) bool {
 	if v.macCache == nil {
-		return rec.VerifyMAC(v.cfg.Alg, v.cfg.Key)
+		return rec.verifyMAC(c)
 	}
 	key, ok := cacheKey(rec)
 	if !ok {
 		// Oversized fields cannot be packed without truncation, and a
 		// truncated key could let two distinct records collide — never
 		// acceptable in a cache whose hits skip MAC verification.
-		return rec.VerifyMAC(v.cfg.Alg, v.cfg.Key)
+		return rec.verifyMAC(c)
 	}
 	v.cacheMu.Lock()
 	_, hit := v.macCache[key]
@@ -249,7 +252,7 @@ func (v *Verifier) verifyMAC(rec Record) bool {
 		return true
 	}
 	v.cfg.Metrics.cacheMiss()
-	if !rec.VerifyMAC(v.cfg.Alg, v.cfg.Key) {
+	if !rec.verifyMAC(c) {
 		return false
 	}
 	v.cacheMu.Lock()
@@ -293,7 +296,13 @@ func cacheKey(rec Record) (macCacheKey, bool) {
 func (v *Verifier) VerifyHistory(recs []Record, now uint64, expectedK int) Report {
 	var rep Report
 	rep.Records = make([]VerifiedRecord, 0, len(recs))
+	v.verifyHistory(recs, now, expectedK, &rep)
+	return rep
+}
 
+// verifyHistory is VerifyHistory into a report whose Records the caller
+// has sized (and may have started filling).
+func (v *Verifier) verifyHistory(recs []Record, now uint64, expectedK int, rep *Report) {
 	if expectedK > 0 && len(recs) < expectedK {
 		rep.MissingRecords = expectedK - len(recs)
 		rep.TamperDetected = true
@@ -301,21 +310,23 @@ func (v *Verifier) VerifyHistory(recs []Record, now uint64, expectedK int) Repor
 			fmt.Sprintf("history has %d records, schedule requires %d", len(recs), expectedK))
 	}
 
-	v.checkRecords(recs, now, &rep)
-	v.checkChain(recs, &rep)
-	v.checkFreshness(recs, now, &rep)
-	return rep
+	v.checkRecords(recs, now, rep)
+	v.checkChain(recs, nil, rep)
+	v.checkFreshness(recs, now, rep)
 }
 
 // checkRecords runs the per-record checks — MAC, golden-hash membership,
 // future timestamp — over a newest-first record list, appending verdicts
 // and findings to rep. Shared by the stateless and incremental paths so
-// verdict logic can never drift between them.
+// verdict logic can never drift between them. One keyed context serves
+// the whole list.
 func (v *Verifier) checkRecords(recs []Record, now uint64, rep *Report) {
+	c := v.macPool.Get().(*mac.Context)
+	defer v.macPool.Put(c)
 	for idx, rec := range recs {
 		vr := VerifiedRecord{Record: rec}
 		switch {
-		case !v.verifyMAC(rec):
+		case !v.verifyMAC(c, rec):
 			vr.Verdict = VerdictBadMAC
 			rep.TamperDetected = true
 			rep.Issues = append(rep.Issues, fmt.Sprintf("record %d: MAC verification failed", idx))
@@ -355,28 +366,37 @@ func (v *Verifier) checkFreshness(recs []Record, now uint64, rep *Report) {
 
 // checkChain runs the ordering and spacing checks over a newest-first
 // record chain, folding findings into rep. Shared by the stateless and
-// the incremental verification paths (the latter appends the watermark
-// anchor as the oldest element so the old/new seam is checked too).
-func (v *Verifier) checkChain(recs []Record, rep *Report) {
-	// Ordering and spacing: newest-first means strictly decreasing T.
+// the incremental verification paths; the latter pass the watermark as
+// anchor, which is checked as the chain's oldest element so the old/new
+// seam obeys the same rules as any interior pair.
+func (v *Verifier) checkChain(recs []Record, anchor *Watermark, rep *Report) {
 	for i := 1; i < len(recs); i++ {
-		if recs[i].T >= recs[i-1].T {
-			rep.TamperDetected = true
-			rep.Issues = append(rep.Issues,
-				fmt.Sprintf("records %d/%d out of order (%d ≥ %d)", i-1, i, recs[i].T, recs[i-1].T))
-			continue
-		}
-		gap := sim.Ticks(recs[i-1].T - recs[i].T)
-		if v.cfg.MinGap > 0 && gap < v.cfg.MinGap {
-			rep.ScheduleGaps++
-			rep.Issues = append(rep.Issues,
-				fmt.Sprintf("records %d/%d: spacing %v below minimum %v", i-1, i, gap, v.cfg.MinGap))
-		}
-		if v.cfg.MaxGap > 0 && gap > v.cfg.MaxGap {
-			rep.ScheduleGaps++
-			rep.Issues = append(rep.Issues,
-				fmt.Sprintf("records %d/%d: spacing %v above maximum %v (missing measurements?)", i-1, i, gap, v.cfg.MaxGap))
-		}
+		v.checkSpacing(i, recs[i-1].T, recs[i].T, rep)
+	}
+	if anchor != nil && len(recs) > 0 {
+		v.checkSpacing(len(recs), recs[len(recs)-1].T, anchor.T, rep)
+	}
+}
+
+// checkSpacing checks chain elements i-1 (timestamp newer) and i (older):
+// newest-first means strictly decreasing T, spaced within the gap bounds.
+func (v *Verifier) checkSpacing(i int, newer, older uint64, rep *Report) {
+	if older >= newer {
+		rep.TamperDetected = true
+		rep.Issues = append(rep.Issues,
+			fmt.Sprintf("records %d/%d out of order (%d ≥ %d)", i-1, i, older, newer))
+		return
+	}
+	gap := sim.Ticks(newer - older)
+	if v.cfg.MinGap > 0 && gap < v.cfg.MinGap {
+		rep.ScheduleGaps++
+		rep.Issues = append(rep.Issues,
+			fmt.Sprintf("records %d/%d: spacing %v below minimum %v", i-1, i, gap, v.cfg.MinGap))
+	}
+	if v.cfg.MaxGap > 0 && gap > v.cfg.MaxGap {
+		rep.ScheduleGaps++
+		rep.Issues = append(rep.Issues,
+			fmt.Sprintf("records %d/%d: spacing %v above maximum %v (missing measurements?)", i-1, i, gap, v.cfg.MaxGap))
 	}
 }
 
@@ -384,10 +404,17 @@ func (v *Verifier) checkChain(recs []Record, rep *Report) {
 // authentic, whitelisted and essentially fresh; the history is then
 // validated as usual.
 func (v *Verifier) VerifyODResponse(m0 Record, history []Record, now uint64, expectedK int, m0FreshBound sim.Ticks) Report {
-	rep := v.VerifyHistory(history, now, expectedK)
+	// M0 is reported first but judged last (its findings follow the
+	// history's): slot 0 is reserved for it.
+	var rep Report
+	rep.Records = make([]VerifiedRecord, 1, 1+len(history))
+	v.verifyHistory(history, now, expectedK, &rep)
+	c := v.macPool.Get().(*mac.Context)
+	m0Authentic := v.verifyMAC(c, m0)
+	v.macPool.Put(c)
 	vr := VerifiedRecord{Record: m0}
 	switch {
-	case !v.verifyMAC(m0):
+	case !m0Authentic:
 		vr.Verdict = VerdictBadMAC
 		rep.TamperDetected = true
 		rep.Issues = append(rep.Issues, "M0: MAC verification failed")
@@ -406,6 +433,6 @@ func (v *Verifier) VerifyODResponse(m0 Record, history []Record, now uint64, exp
 	if now >= m0.T {
 		rep.Freshness = sim.Ticks(now - m0.T)
 	}
-	rep.Records = append([]VerifiedRecord{vr}, rep.Records...)
+	rep.Records[0] = vr
 	return rep
 }

@@ -13,6 +13,7 @@ import (
 	"crypto/sha1"
 	"crypto/sha256"
 	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
 	"hash"
 	"sort"
@@ -126,6 +127,69 @@ func Sum(a Algorithm, key, msg []byte) []byte {
 func Verify(a Algorithm, key, msg, tag []byte) bool {
 	want := Sum(a, key, msg)
 	return ConstantTimeEqual(want, tag)
+}
+
+// maxSize is the largest Size() of any supported algorithm.
+const maxSize = sha256.Size
+
+// Context is a keyed MAC instance that is kept and reused: key it once,
+// then MAC any number of messages. Keying is most of the cost of a short
+// one-shot MAC (an HMAC key schedule is two extra compressions and seven
+// allocations against two compressions for a 40-byte record message), so
+// code that MACs many messages under one key — a verifier walking a
+// collected history, a prover measuring on a timer — holds a Context
+// instead of calling Sum or Verify per message. After NewContext returns
+// no method allocates beyond what the caller asks AppendSum to append to.
+//
+// Every call starts from the keyed initial state, so nothing carries over
+// from one message to the next, whatever the previous call did. A Context
+// is not safe for concurrent use; it holds key-derived state, so it lives
+// where the key may live.
+type Context struct {
+	h hash.Hash
+	// Scratch owned by the context: a stack array handed to h.Write would
+	// escape through the interface and be heap-allocated per call.
+	hdr [8]byte
+	tag [maxSize]byte
+}
+
+// NewContext returns a reusable context for the algorithm keyed with key
+// (the same key handling as New).
+func NewContext(a Algorithm, key []byte) *Context {
+	c := &Context{h: New(a, key)}
+	// The first Reset of a stdlib HMAC snapshots its keyed pads (two
+	// allocations); take it here so that no later call allocates.
+	c.h.Reset()
+	return c
+}
+
+// AppendSum appends the MAC of msg to dst and returns the extended slice.
+func (c *Context) AppendSum(dst, msg []byte) []byte {
+	c.h.Reset()
+	c.h.Write(msg)
+	return c.h.Sum(dst)
+}
+
+// AppendSumStamped appends the MAC of the 8-byte big-endian stamp followed
+// by msg — the shape of every timestamped ERASMUS message — to dst.
+func (c *Context) AppendSumStamped(dst []byte, stamp uint64, msg []byte) []byte {
+	binary.BigEndian.PutUint64(c.hdr[:], stamp)
+	c.h.Reset()
+	c.h.Write(c.hdr[:])
+	c.h.Write(msg)
+	return c.h.Sum(dst)
+}
+
+// Verify reports whether tag is the MAC of msg, comparing in constant
+// time. It agrees with the one-shot Verify under the same key.
+func (c *Context) Verify(msg, tag []byte) bool {
+	return ConstantTimeEqual(c.AppendSum(c.tag[:0], msg), tag)
+}
+
+// VerifyStamped reports whether tag is the MAC of stamp‖msg as
+// AppendSumStamped lays it out, comparing in constant time.
+func (c *Context) VerifyStamped(stamp uint64, msg, tag []byte) bool {
+	return ConstantTimeEqual(c.AppendSumStamped(c.tag[:0], stamp, msg), tag)
 }
 
 // ConstantTimeEqual reports whether a and b are equal in time that

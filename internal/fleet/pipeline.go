@@ -105,7 +105,7 @@ func (p *pipeline) submit(j pipeJob) {
 		j.submitWall = time.Now().UnixNano()
 	}
 	if p.inline {
-		p.process([]pipeJob{j})
+		p.process([]pipeJob{j}, nil)
 		p.settle(1, 0)
 		return
 	}
@@ -124,9 +124,15 @@ func (p *pipeline) submit(j pipeJob) {
 	p.closeMu.RUnlock()
 }
 
+// dispatch drains the queue in batches. It owns the batch and the verify
+// jobs built from it and reuses both across batches, grown to the largest
+// batch seen; they are cleared after every batch so an idle dispatcher
+// pins no collected history.
 func (p *pipeline) dispatch() {
+	var batch []pipeJob
+	var vjobs []core.VerifyJob
 	for j := range p.jobs {
-		batch := []pipeJob{j}
+		batch = append(batch, j)
 	gather:
 		for len(batch) < p.batchLimit {
 			select {
@@ -139,17 +145,25 @@ func (p *pipeline) dispatch() {
 				break gather
 			}
 		}
-		p.process(batch)
-		p.settle(len(batch), len(batch))
+		n := len(batch)
+		if cap(vjobs) < n {
+			vjobs = make([]core.VerifyJob, 0, cap(batch))
+		}
+		p.process(batch, vjobs)
+		p.settle(n, n)
+		clear(batch)
+		clear(vjobs[:n])
+		batch = batch[:0]
 	}
 }
 
 // process verifies a batch's successful collections in parallel and
-// applies every outcome in submission order.
+// applies every outcome in submission order. vjobs is scratch for the
+// verify jobs: the dispatcher lends room for one per batch entry.
 //
 //erasmus:wallpaced per-span verify wall share feeds the tracer; verdicts and their order are clock-free
-func (p *pipeline) process(batch []pipeJob) {
-	var vjobs []core.VerifyJob
+func (p *pipeline) process(batch []pipeJob, vjobs []core.VerifyJob) {
+	vjobs = vjobs[:0]
 	for i := range batch {
 		if batch[i].err == nil {
 			vj := core.VerifyJob{
